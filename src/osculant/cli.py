@@ -3,17 +3,14 @@
 Exit codes: 0 success or verdict pass, 1 verdict failure (including geometric
 rejections), 2 a result could not be certified at working precision, 3 usage
 errors.  All randomness is seeded, so reports are reproducible byte for byte.
-The OSCULANT_THREADS environment variable caps internal worker threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +23,8 @@ from .errors import (GeometryError, OnDiscriminantError, OsculantError,
 from .mesh import export, sample_discriminant
 from .projection import project_iterated
 from .projective import normalize
-from .strata import component_census, hull_center, tangency_data, transport
-from .hulls import elliptic_hull, elliptic_hull_membership
+from .strata import component_census, tangency_data, transport
+from .hulls import elliptic_hull_membership
 from .tangency import count_roots
 
 EXIT_PASS = 0
@@ -62,14 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("OSCULANT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_curve(spec: str) -> ParamCurve:
@@ -180,21 +169,15 @@ def _cmd_hull(cfg: RunConfig) -> int:
     c = _load_curve(cfg.curve_spec)
     rng = np.random.default_rng(cfg.seed)
     probes = [rng.standard_normal(c.n + 1) for _ in range(20)]
-    if c.n % 2 == 0:
-        hull = elliptic_hull(c, tol=cfg.tol)
-        center = hull.center.coords
-    else:
-        hull, center = None, None
+    center = c.hull.center.coords if c.n % 2 == 0 else None
 
     def probe(v):
         try:
-            return elliptic_hull_membership(c, normalize(v), cfg.tol,
-                                            hull=hull)
+            return elliptic_hull_membership(c, normalize(v), cfg.tol)
         except OsculantError:
             return None
 
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        verdicts = list(pool.map(probe, probes))
+    verdicts = [probe(v) for v in probes]
     doc = {"n": c.n, "seed": cfg.seed,
            "probes": [{"point": p, "member": m}
                       for p, m in zip(probes, verdicts)]}

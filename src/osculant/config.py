@@ -20,7 +20,6 @@ class Tolerances:
     merge: float = 1e-7         # zeros closer than this merge into one tangency
     member_rel: float = 1e-6    # subspace membership residual, relative to |p|
     moment_sep: float = 1e-3    # min spacing (fraction of period) for sampled tuples
-    hull_margin: float = 1e-9   # half-space margin treated as "on the boundary"
 
     def with_overrides(self, **kw) -> "Tolerances":
         return replace(self, **kw)

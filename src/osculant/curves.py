@@ -16,20 +16,22 @@ fourier            caller-supplied harmonic coefficients (negative controls).
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
 from . import fourier
 from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError
-from .projective import Jet
 
 
 class ParamCurve:
     """A curve S^1 -> P^n by homogeneous coordinates that are trig polynomials.
 
     coeffs[i, K+k] is the coefficient of exp(1j*(k/2)*t) in coordinate i.
-    Instances are immutable; grid jets are cached per (grid, order).
+    Instances are immutable, and they own their derived data: the projective
+    period, the dual coefficients, the dual curve and the elliptic hull are
+    each computed at most once per curve.
     """
 
     def __init__(self, coeffs, model: str = "fourier"):
@@ -43,7 +45,7 @@ class ParamCurve:
         self.coeffs = coeffs
         self.coeffs.flags.writeable = False
         self.model = model
-        self._grid_cache: dict = {}
+        self._period = _projective_period(coeffs)
 
     @property
     def n(self) -> int:
@@ -56,14 +58,7 @@ class ParamCurve:
     @property
     def projective_period(self) -> float:
         """pi when gamma(t + pi) = +/- gamma(t), else 2*pi."""
-        K = self.K
-        col = np.abs(self.coeffs).max(axis=0)
-        ks = np.nonzero(col > 1e-12 * col.max())[0] - K
-        if np.all(ks % 2 == 0):
-            half = ks // 2  # integer frequencies
-            if half.size and np.all(half % 2 == half[0] % 2):
-                return np.pi
-        return 2.0 * np.pi
+        return self._period
 
     def point(self, t: float) -> np.ndarray:
         return fourier.evaluate(self.coeffs, float(t))
@@ -72,29 +67,68 @@ class ParamCurve:
         return fourier.jet_at(self.coeffs, t, order)
 
     def jet_grid(self, ts: np.ndarray, order: int) -> np.ndarray:
-        """Stacked jets on a grid, shape (len(ts), order+1, n+1); cached."""
+        """Stacked jets on a grid, shape (len(ts), order+1, n+1)."""
         ts = np.asarray(ts, float)
-        key = (ts.shape[0], round(float(ts[0]), 12), round(float(ts[-1]), 12), order)
-        hit = self._grid_cache.get(key)
-        if hit is not None:
-            return hit
-        out = np.stack(
+        return np.stack(
             [fourier.evaluate(self.coeffs, ts, order=j) for j in range(order + 1)],
             axis=1,
         )
-        if len(self._grid_cache) > 16:
-            self._grid_cache.clear()
-        self._grid_cache[key] = out
+
+    @cached_property
+    def dual_coeffs(self) -> np.ndarray:
+        """Coefficient rows of the osculating-hyperplane covector gamma*(t).
+
+        gamma*_i is (-1)^i times the minor of the order n-1 jet without
+        column i, a trig polynomial recovered exactly by sampling above the
+        Nyquist rate.  Expanding the determinant along its last row gives
+        F_p = det[gamma, ..., gamma^(n-1), p] = (-1)^n <gamma*, p>.  No rank
+        check: tangency functions stay defined where the jet degenerates.
+        """
+        n = self.n
+        Kw = n * self.K
+        jets = self.jet_grid(_construction_grid(Kw), n - 1)     # (M, n, n+1)
+        cols = np.arange(n + 1)
+        rows = []
+        for i in range(n + 1):
+            minor = jets[:, :, cols != i]
+            rows.append(fourier.from_samples(((-1.0) ** i) * np.linalg.det(minor), Kw))
+        out = fourier.trimmed(np.vstack(rows))
+        out.flags.writeable = False
         return out
+
+    @cached_property
+    def dual(self) -> "ParamCurve":
+        """The dual curve, built once; see dual_curve."""
+        return dual_curve(self)
+
+    @cached_property
+    def hull(self):
+        """The elliptic hull (even n, convex curves), built once; see elliptic_hull."""
+        from .hulls import elliptic_hull
+
+        return elliptic_hull(self)
 
     def __repr__(self):
         return f"ParamCurve(n={self.n}, K={self.K}, model={self.model!r})"
 
 
-def eval_jet(curve: ParamCurve, t: float, order: int) -> Jet:
-    if order < 0:
-        raise ValueError("jet order must be nonnegative")
-    return Jet(order, curve.jet(t, order))
+def _projective_period(coeffs: np.ndarray) -> float:
+    K = fourier.halfspan(coeffs)
+    col = np.abs(coeffs).max(axis=0)
+    ks = np.nonzero(col > 1e-12 * col.max())[0] - K
+    if np.all(ks % 2 == 0):
+        half = ks // 2  # integer frequencies
+        if half.size and np.all(half % 2 == half[0] % 2):
+            return np.pi
+    return 2.0 * np.pi
+
+
+def _construction_grid(K: int) -> np.ndarray:
+    """Power-of-two sample grid above the Nyquist rate for half-span K."""
+    M = 1
+    while M <= 2 * K + 2:
+        M *= 2
+    return fourier.sample_grid(M)
 
 
 def _harmonic_row(K: int, m: int, kind: str) -> np.ndarray:
@@ -242,25 +276,14 @@ def curve_from_spec(spec) -> ParamCurve:
 def dual_curve(curve: ParamCurve, tol: Tolerances = DEFAULT) -> ParamCurve:
     """The osculating-hyperplane curve in the dual space.
 
-    The covector annihilating the order n-1 jet is the generalized cross
-    product of the jet rows, a trig polynomial; its coefficients are recovered
-    exactly by sampling above the Nyquist rate.  By construction
-    <gamma*(t), gamma^(j)(t)> = 0 for j < n.
+    Its coordinates are curve.dual_coeffs, the generalized cross product of
+    the order n-1 jet rows, so <gamma*(t), gamma^(j)(t)> = 0 for j < n.  The
+    covector must not vanish anywhere on the construction grid: a curve whose
+    jet drops rank has no dual curve.
     """
-    n = curve.n
-    Kw = n * curve.K
-    M = 1
-    while M <= 2 * Kw + 2:
-        M *= 2
-    ts = fourier.sample_grid(M)
-    jets = curve.jet_grid(ts, n - 1)          # (M, n, n+1)
-    cols = np.arange(n + 1)
-    w = np.empty((M, n + 1))
-    for i in range(n + 1):
-        minor = jets[:, :, cols != i]
-        w[:, i] = ((-1.0) ** i) * np.linalg.det(minor)
+    coeffs = curve.dual_coeffs
+    w = fourier.evaluate(coeffs, _construction_grid(curve.n * curve.K))
     scale = np.linalg.norm(w, axis=1)
     if scale.min() < 1e-9 * max(scale.max(), 1e-300):
         raise DegeneracyError("order n-1 jet drops rank somewhere on the curve")
-    coeffs = np.vstack([fourier.from_samples(w[:, i], Kw) for i in range(n + 1)])
     return ParamCurve(coeffs, model=f"dual({curve.model})")

@@ -13,7 +13,6 @@ roots, Yun's square-free decomposition for multiplicities, and the root at
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -269,18 +268,6 @@ class BinaryForm:
         n = self.degree
         return sum(c * Fraction(x) ** (n - j) * Fraction(y) ** j
                    for j, c in enumerate(self.coeffs))
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.degree,
-                           "coeffs": [str(c) for c in self.coeffs]})
-
-    @classmethod
-    def from_json(cls, text) -> "BinaryForm":
-        obj = json.loads(text) if isinstance(text, (str, bytes)) else text
-        cs = [Fraction(s) for s in obj["coeffs"]]
-        if "n" in obj and obj["n"] != len(cs) - 1:
-            raise ValueError("declared degree disagrees with coefficient count")
-        return cls(tuple(cs))
 
 
 def sturm_count(form: BinaryForm, with_multiplicity: bool = True) -> int:

@@ -24,7 +24,7 @@ from scipy.optimize import minimize_scalar
 from scipy.optimize import linprog
 
 from .config import DEFAULT, HULL_GRID, Tolerances
-from .curves import ParamCurve, dual_curve
+from .curves import ParamCurve
 from .errors import GeometryError, PrecisionError
 from .projective import ProjPoint, Subspace, normalize
 from .tangency import count_roots
@@ -39,7 +39,8 @@ class EllipticHull:
     covectors are unit length and oriented so pairings with the curve are
     positive; chart is their mean (the canonical affine chart covector);
     frame rows complete chart to an orthonormal basis, giving affine
-    coordinates y with x = chart + frame.T @ y.
+    coordinates y with x = chart + frame.T @ y; reference holds the curve
+    samples that orient every dual covector toward the curve side.
     """
 
     curve: ParamCurve
@@ -51,6 +52,7 @@ class EllipticHull:
     frame: np.ndarray
     center: ProjPoint
     center_chart: np.ndarray
+    reference: np.ndarray
 
     @property
     def half_spaces(self) -> list:
@@ -68,12 +70,6 @@ class EllipticHull:
     def from_chart(self, y) -> np.ndarray:
         return self.chart + self.frame.T @ np.asarray(y, float)
 
-    def support_values(self, p) -> np.ndarray:
-        """Oriented pairings of the sampled hyperplanes with a chart point."""
-        v = np.asarray(getattr(p, "coords", p), float)
-        denom = float(self.chart @ v)
-        return self.covectors @ (v / denom)
-
     def boundary_scale(self, direction) -> float:
         """Distance from the center to the hull boundary along a chart ray.
 
@@ -87,13 +83,13 @@ class EllipticHull:
         if nd == 0.0:
             raise ValueError("direction must be nonzero")
         d = d / nd
-        dual = _dual_cache(self.curve)
+        dual = self.curve.dual
         period = self.curve.projective_period
         x0 = self.from_chart(self.center_chart)
         step = self.frame.T @ d
 
         def ratio(tau: float) -> float:
-            a, _ = _oriented_covector(dual, float(tau), self._orient)
+            a, _ = _oriented_covector(dual, float(tau), self.reference)
             g = float(a @ x0)
             q = float(a @ step)
             if q >= -1e-14:
@@ -110,26 +106,6 @@ class EllipticHull:
         res = minimize_scalar(ratio, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12})
         return float(min(res.fun, vals[i]))
-
-    @property
-    def _orient(self) -> np.ndarray:
-        return self.__dict__.setdefault(
-            "_orient_ref", _orientation_reference(self.curve))
-
-
-_DUALS: dict[int, tuple] = {}
-
-
-def _dual_cache(curve: ParamCurve) -> ParamCurve:
-    # keyed by id with a strong reference kept, so ids cannot be recycled
-    key = id(curve)
-    entry = _DUALS.get(key)
-    if entry is None or entry[0] is not curve:
-        if len(_DUALS) > 8:
-            _DUALS.clear()
-        entry = (curve, dual_curve(curve))
-        _DUALS[key] = entry
-    return entry[1]
 
 
 def _orientation_reference(curve: ParamCurve) -> np.ndarray:
@@ -149,14 +125,16 @@ def _oriented_covector(dual: ParamCurve, tau: float,
     return a, sign
 
 
-def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID,
-                  tol: Tolerances = DEFAULT) -> EllipticHull:
-    """Build the sampled hull model of an even-dimensional convex curve."""
+def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID) -> EllipticHull:
+    """Build the sampled hull model of an even-dimensional convex curve.
+
+    curve.hull holds the model with the default grid, built once per curve.
+    """
     n = curve.n
     if n % 2 != 0:
         raise ValueError("the elliptic hull is convex only in even dimension")
     period = curve.projective_period
-    dual = _dual_cache(curve)
+    dual = curve.dual
     ref = _orientation_reference(curve)
     taus = np.arange(grid) * (period / grid)
     pairs = [_oriented_covector(dual, float(t), ref) for t in taus]
@@ -200,6 +178,7 @@ def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID,
         frame=frame,
         center=normalize(center_vec),
         center_chart=y0,
+        reference=ref,
     )
 
 
@@ -218,7 +197,7 @@ def elliptic_hull_membership(curve: ParamCurve, p,
         return total == 1
     member = total == 0
     if hull is None:
-        hull = _hull_cache(curve, tol)
+        hull = curve.hull
     v = np.asarray(getattr(p, "coords", p), float)
     denom = float(hull.chart @ v)
     if abs(denom) < 1e-12 * np.linalg.norm(v):
@@ -236,21 +215,6 @@ def elliptic_hull_membership(curve: ParamCurve, p,
     return member
 
 
-_HULLS: dict[int, tuple] = {}
-
-
-def _hull_cache(curve: ParamCurve, tol: Tolerances) -> EllipticHull:
-    key = id(curve)
-    entry = _HULLS.get(key)
-    if entry is None or entry[0] is not curve:
-        if len(_HULLS) > 8:
-            _HULLS.clear()
-        entry = (curve, elliptic_hull(curve, tol=tol))
-        _HULLS[key] = entry
-    return entry[1]
-
-
-def hull_center(curve: ParamCurve, tau_grid: int = HULL_GRID,
-                tol: Tolerances = DEFAULT) -> ProjPoint:
+def hull_center(curve: ParamCurve) -> ProjPoint:
     """Chebyshev center of the sampled hull (even dimension only)."""
-    return elliptic_hull(curve, grid=tau_grid, tol=tol).center
+    return curve.hull.center

@@ -18,7 +18,6 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError
-from .hulls import elliptic_hull
 from .projective import osculating_subspace
 
 _EXTENT_FACTOR = 3.0
@@ -55,7 +54,7 @@ def _chart_covector(curve: ParamCurve) -> np.ndarray:
     """
     if curve.n % 2 == 0:
         try:
-            return elliptic_hull(curve).chart
+            return curve.hull.chart
         except GeometryError:
             pass
     ts = np.arange(256) * (curve.projective_period / 256)

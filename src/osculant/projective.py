@@ -48,11 +48,6 @@ class ProjPoint:
     def normalized(self) -> "ProjPoint":
         return normalize(self.coords)
 
-    def same_as(self, other, tol: float = 1e-9) -> bool:
-        a = normalize(self.coords).coords
-        b = normalize(_as_vec(other)).coords
-        return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b))) <= tol
-
 
 def normalize(raw) -> ProjPoint:
     """Canonical representative: unit norm, first significant entry positive."""
@@ -65,17 +60,6 @@ def normalize(raw) -> ProjPoint:
     if lead.size and v[lead[0]] < 0:
         v = -v
     return ProjPoint(v)
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Derivatives 0..order of a curve at one parameter, one row per order."""
-
-    order: int
-    derivs: np.ndarray
-
-    def row(self, j: int) -> np.ndarray:
-        return self.derivs[j]
 
 
 @dataclass(frozen=True)
@@ -184,13 +168,6 @@ def intersect(subspaces, tol: Tolerances = DEFAULT) -> Subspace:
     if null.shape[0] == 0:
         return Subspace.empty(amb)
     return Subspace(null, amb)
-
-
-def eval_jet(curve, t: float, order: int) -> Jet:
-    """Jet of the curve at t.  Derivatives of every order exist for these models."""
-    if order < 0:
-        raise ValueError("jet order must be nonnegative")
-    return Jet(order, curve.jet(t, order))
 
 
 def osculating_subspace(curve, t: float, k: int, tol: Tolerances = DEFAULT) -> Subspace:

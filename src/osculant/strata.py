@@ -20,9 +20,6 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError, OnDiscriminantError, PrecisionError
-from .forms import factor_binary_form  # noqa: F401  (part of this layer's surface)
-from .hulls import (EllipticHull, _hull_cache, elliptic_hull,
-                    elliptic_hull_membership, hull_center)
 from .projective import ProjPoint, normalize, osculating_intersection
 from .projection import project_iterated
 from .tangency import count_roots
@@ -34,14 +31,10 @@ __all__ = [
     "tangency_data",
     "transport",
     "component_census",
-    "elliptic_hull",
-    "elliptic_hull_membership",
-    "hull_center",
-    "EllipticHull",
-    "factor_binary_form",
 ]
 
 _RADIUS_SLACK = 1e-9
+_CONSTANCY_DRAWS = 10   # draw cap of the constancy check, per requested pair
 
 
 @dataclass(frozen=True)
@@ -86,8 +79,8 @@ def _child_and_hull(c: ParamCurve, moments, tol: Tolerances):
     """Project out the tangency moments and build the resulting hull."""
     if moments:
         child = project_iterated(c, list(moments), tol)
-        return child, _hull_cache(child.curve, tol)
-    return None, _hull_cache(c, tol)
+        return child, child.curve.hull
+    return None, c.hull
 
 
 def tangency_data(c: ParamCurve, p, tol: Tolerances = DEFAULT) -> StratumData:
@@ -213,7 +206,8 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
     of the histogram must be exactly {n, n-2, ..., n mod 2}; any other value
     is a hard failure, while a missing value means the sampling never reached
     that stratum.  Local constancy of the count is spot-checked on fresh
-    points nudged by 1e-5.
+    points nudged by 1e-5; if 10 * constancy_checks draws do not yield
+    that many certified pairs, the census raises PrecisionError.
     """
     n = c.n
     rng = np.random.default_rng(seed)
@@ -240,8 +234,14 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
         raise PrecisionError(
             f"census with {samples} samples never reached counts {missing}"
         )
-    checked = 0
+    checked = draws = 0
     while checked < constancy_checks:
+        if draws >= _CONSTANCY_DRAWS * constancy_checks:
+            raise PrecisionError(
+                f"constancy check discarded {draws - checked} of {draws} "
+                f"draws before reaching {constancy_checks} certified pairs"
+            )
+        draws += 1
         v = _census_point(c, rng)
         w = v + 1e-5 * np.linalg.norm(v) * rng.standard_normal(n + 1)
         try:

@@ -2,9 +2,10 @@
 
 The tangency function F_p(t) = det[gamma(t); gamma'(t); ...; gamma^(n-1)(t); p]
 vanishes exactly where the osculating hyperplane at t passes through p, and
-the order of that zero is the order of tangency.  For trig-polynomial curves
-F_p is itself a trig polynomial, recovered exactly from samples above the
-Nyquist rate, so every derivative of F_p is available in closed form.
+the order of that zero is the order of tangency.  Expanding the determinant
+along p gives F_p = (-1)^n <gamma*(t), p> with gamma* the osculating-hyperplane
+covector, whose trig-polynomial coefficients each curve computes once, so F_p
+and every derivative of it are available in closed form.
 
 Zeros are located on a dense grid (sign changes for odd orders, certified
 dips of |F_p| for even orders), refined by bracketed root finding, merged
@@ -22,6 +23,7 @@ from scipy.optimize import brentq
 from . import fourier
 from .config import BRACKET_GRID, DEFAULT, MAX_GRID, Tolerances
 from .errors import DegeneracyError, PrecisionError
+from .projective import merge_moments
 
 
 @dataclass(frozen=True)
@@ -53,17 +55,7 @@ def tangency_function(curve, p) -> fourier.TrigPoly:
     """F_p as a trig polynomial; derivatives come from .deriv()."""
     n = curve.n
     v = _point_vec(p, n + 1)
-    Kf = n * curve.K
-    M = 1
-    while M <= 2 * Kf + 2:
-        M *= 2
-    ts = fourier.sample_grid(M)
-    jets = curve.jet_grid(ts, n - 1)                      # (M, n, n+1)
-    stacked = np.concatenate(
-        [jets, np.broadcast_to(v, (M, 1, n + 1))], axis=1
-    )
-    vals = np.linalg.det(stacked)
-    return fourier.TrigPoly(fourier.from_samples(vals, Kf))
+    return fourier.TrigPoly((-1) ** n * (v @ curve.dual_coeffs))
 
 
 def order_of_tangency(curve, p, tau: float, tol: Tolerances = DEFAULT) -> int:
@@ -214,7 +206,7 @@ def _count_on_grid(curve, p, F, period, grid, tol) -> RootCount:
         elif s[i] != 0 and s[i] == s[i + 1] and s[i] * v < 0:
             raise _Retry  # two crossings hidden in one cell; split them
 
-    clusters = _cluster(roots, period, tol.merge)
+    clusters = merge_moments(roots, period, tol)
     dscales: dict[int, float] = {0: scale, 1: np.abs(f1).max()}
     sites = [
         _assign_order(F, tau, ts, dscales, zero_thr, n, period, tol)
@@ -224,22 +216,6 @@ def _count_on_grid(curve, p, F, period, grid, tol) -> RootCount:
     tangencies = _cluster_sites(sites, period, tol.merge)
     total = sum(m for _, m in tangencies)
     return RootCount(tuple(sorted(tangencies)), total)
-
-
-def _cluster(roots, period, merge_tol):
-    if not roots:
-        return []
-    rs = sorted(r % period for r in roots)
-    groups = [[rs[0]]]
-    for r in rs[1:]:
-        if r - groups[-1][-1] <= merge_tol:
-            groups[-1].append(r)
-        else:
-            groups.append([r])
-    if len(groups) > 1 and (groups[0][0] + period) - groups[-1][-1] <= merge_tol:
-        groups[0] = [r - period for r in groups[-1]] + groups[0]
-        groups.pop()
-    return [(float(np.mean(g)) % period, len(g)) for g in groups]
 
 
 def _cluster_sites(sites, period, merge_tol):

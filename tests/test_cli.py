@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, exit codes, output schemas."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -81,14 +80,6 @@ def test_hull_probes(capsys):
     assert "center" in doc
 
 
-def test_hull_thread_env_does_not_change_output(capsys, monkeypatch):
-    monkeypatch.delenv("OSCULANT_THREADS", raising=False)
-    _, doc1 = _run(capsys, "hull", "--curve", "trig_convex:4", "--seed", "9")
-    monkeypatch.setenv("OSCULANT_THREADS", "4")
-    _, doc2 = _run(capsys, "hull", "--curve", "trig_convex:4", "--seed", "9")
-    assert doc1 == doc2
-
-
 def test_mesh_writes_file(tmp_path, capsys):
     out = tmp_path / "m.obj"
     code, doc = _run(capsys, "mesh", "--curve", "rational_normal:3",
@@ -129,10 +120,9 @@ def test_bad_flag_is_usage_error(capsys):
 
 
 def test_console_script_runs():
-    env = dict(os.environ, OSCULANT_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "osculant.cli", "roots",
          "--curve", "trig_convex:2", "(1, 3, 0)"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total"] == 2

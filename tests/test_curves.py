@@ -106,6 +106,14 @@ def test_dual_of_circle_is_the_tangent_line():
                np.linalg.norm(w + expected)) < 1e-9
 
 
+def test_derived_data_is_built_once():
+    c = build_model("trig_convex", 4)
+    assert c.dual is c.dual
+    assert c.hull is c.hull
+    assert c.hull.curve is c
+    assert np.array_equal(c.dual.coeffs, dual_curve(c).coeffs)
+
+
 def test_negative_controls_exist():
     pc = perturbed_circle(0.3)
     sc = nonconvex_space_curve()

@@ -9,6 +9,7 @@ from osculant import (
     elliptic_hull_membership,
     hull_center,
 )
+from osculant import hulls
 from osculant.curves import perturbed_circle
 from osculant.errors import GeometryError, PrecisionError
 
@@ -76,6 +77,17 @@ def test_boundary_scale_matches_membership_bisection(trig, rng):
             else:
                 hi = mid
         assert abs(0.5 * (lo + hi) - rho) <= 1e-6 * rho
+
+
+def test_boundary_scale_reuses_the_orientation_reference(trig, monkeypatch):
+    hull = elliptic_hull(trig[4])
+    want = hull.boundary_scale((1.0, 0.0, 0.0, 0.0))
+
+    def forbidden(curve):
+        raise AssertionError("orientation reference rebuilt")
+
+    monkeypatch.setattr(hulls, "_orientation_reference", forbidden)
+    assert hull.boundary_scale((1.0, 0.0, 0.0, 0.0)) == want
 
 
 def test_membership_outside_chart_direction(trig, rng):

@@ -15,7 +15,8 @@ from osculant import (
     tangency_data,
     transport,
 )
-from osculant.errors import GeometryError, OnDiscriminantError, OsculantError
+from osculant.errors import (GeometryError, OnDiscriminantError, OsculantError,
+                             PrecisionError)
 from osculant.tangency import RootCount
 
 
@@ -162,3 +163,30 @@ def test_parity_mismatch_is_an_on_discriminant_signal(monkeypatch, trig):
     monkeypatch.setattr(strata, "count_roots", lambda *a, **k: fake)
     with pytest.raises(OnDiscriminantError):
         strata.stratum_label(trig[2], (1.0, 0.0, 0.0))
+
+
+def test_census_constancy_draws_are_bounded(monkeypatch, trig):
+    import osculant.strata as strata
+    from osculant.cli import main
+
+    real = strata.count_roots
+    samples = 100
+    calls = {"n": 0}
+
+    def histogram_then_reject(*a, **k):
+        calls["n"] += 1
+        # a constancy loop without a cap would never stop; fail instead.
+        # 100 constancy checks (the default) allow 1000 draws
+        assert calls["n"] <= samples + 2 * 1000, "unbounded constancy loop"
+        if calls["n"] <= samples:
+            return real(*a, **k)
+        raise PrecisionError("rejected")
+
+    monkeypatch.setattr(strata, "count_roots", histogram_then_reject)
+    with pytest.raises(PrecisionError, match="discarded 50 of 50 draws"):
+        component_census(trig[2], samples=samples, seed=1,
+                         constancy_checks=5)
+
+    calls["n"] = 0
+    assert main(["components", "--curve", "trig_convex:2",
+                 "--samples", str(samples), "--seed", "1"]) == 2

@@ -14,6 +14,9 @@ from osculant import (
     sturm_count,
     tangency_function,
 )
+from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
+                             perturbed_circle)
+from osculant.errors import DegeneracyError
 
 
 def _form_from_roots(roots, degree):
@@ -59,6 +62,32 @@ def test_tangency_function_vanishes_at_moments(trig, rng):
         scale = max(abs(F(t)) for t in np.linspace(0, 2 * np.pi, 64))
         for tau, _ in count_roots(c, p).tangencies:
             assert abs(F(tau)) <= 1e-9 * scale
+
+
+def test_tangency_function_is_the_determinant(trig, rational, rng):
+    # reference: F_p(t) = det[gamma, gamma', ..., gamma^(n-1), p] on a grid
+    curves = [*trig.values(), *rational.values(),
+              perturbed_circle(0.3), nonconvex_space_curve()]
+    ts = np.linspace(0.0, 4.0 * np.pi, 97)
+    for c in curves:
+        n = c.n
+        v = rng.standard_normal(n + 1)
+        v /= np.linalg.norm(v)
+        jets = c.jet_grid(ts, n - 1)
+        rows = np.broadcast_to(v, (ts.size, 1, n + 1))
+        want = np.linalg.det(np.concatenate([jets, rows], axis=1))
+        got = tangency_function(c, v).sample(ts)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), c
+
+
+def test_counts_survive_a_jet_that_drops_rank():
+    # the astroid has cusps: no dual curve, but F_p is still a trig polynomial
+    astroid = build_model("fourier", 2, [[1], [0, .75, 0, 0, 0, .25, 0],
+                                         [0, 0, .75, 0, 0, 0, -.25]])
+    assert count_roots(astroid, (1.0, 0.1, 0.05)).total == 8
+    assert count_roots(astroid, (1.0, 2.0, 0.3)).total == 6
+    with pytest.raises(DegeneracyError):
+        dual_curve(astroid)
 
 
 def _circ_close(got, expected, period, atol):
