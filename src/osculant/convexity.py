@@ -16,16 +16,19 @@ smallest stacked singular value finds them reliably.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 from scipy.optimize import minimize
 
-from . import projective
+from . import fourier, projective
 from .config import DEFAULT, Tolerances
-from .errors import PrecisionError
+from .errors import DegeneracyError, PrecisionError
 from .tangency import count_roots
+
+_log = logging.getLogger("osculant")
 
 PAIR_SCAN_GRID = 96
 _SIGMA_VIOLATION = 1e-7
@@ -92,6 +95,7 @@ def _random_composition(n: int, rng) -> tuple[int, ...]:
     cuts = np.sort(rng.choice(np.arange(1, n), size=r - 1, replace=False))
     return tuple(int(x) for x in np.diff(np.concatenate(([0], cuts, [n]))))
 
+
 def _separated_moments(r: int, period: float, sep: float, rng) -> np.ndarray:
     for _ in range(200):
         ms = np.sort(rng.uniform(0.0, period, size=r))
@@ -103,24 +107,48 @@ def _separated_moments(r: int, period: float, sep: float, rng) -> np.ndarray:
     raise PrecisionError("could not draw a separated moment tuple")
 
 
-def _stacked_annihilators(curve, parts, moments, tol) -> np.ndarray:
-    rows = [
-        projective.osculating_subspace(curve, float(t), curve.n - k, tol)
-        .annihilator()
-        for k, t in zip(parts, moments)
-    ]
-    return np.vstack(rows)
+def _annihilators(curve, ts, k, tol) -> np.ndarray:
+    """Annihilators of the codimension-k osculating subspaces at every ts.
 
-
-def _criterion_sigma(curve, parts, moments, tol) -> float:
-    """Smallest singular value of the stacked annihilator system.
-
-    The intersection of the osculating subspaces is a single point exactly
-    when the n stacked annihilator rows have full rank, so this value is the
-    margin of the transversality statement.
+    Returns orthonormal rows of shape (len(ts), k, n+1), spanning what
+    osculating_subspace(curve, t, n-k).annihilator() spans, from one phase
+    product and one batched SVD.  A vanishing jet row or a rank drop at
+    tol.rank_rel raises DegeneracyError.
     """
-    stacked = _stacked_annihilators(curve, parts, moments, tol)
-    return float(np.linalg.svd(stacked, compute_uv=False)[-1])
+    n, K = curve.n, curve.K
+    order = n - k
+    scal = (1j * fourier.frequencies(K)) ** np.arange(order + 1)[:, None]
+    deriv = (scal[:, None, :] * curve.coeffs).reshape(-1, 2 * K + 1)
+    ph = fourier.phase_matrix(np.atleast_1d(np.asarray(ts, float)), K)
+    jets = np.real(ph @ deriv.T).reshape(-1, order + 1, n + 1)
+    nrm = np.linalg.norm(jets, axis=2, keepdims=True)
+    if not nrm.all():
+        raise DegeneracyError(f"a jet of order {order} has a zero row")
+    _, s, vt = np.linalg.svd(jets / nrm, full_matrices=True)
+    if np.any(s[:, -1] <= tol.rank_rel * s[:, 0]):
+        raise DegeneracyError(f"a jet of order {order} drops rank")
+    return vt[:, order + 1:]
+
+
+def _sigma_grids(curve, grid, scan_sep, tol):
+    """Yield (k, sigma) for k = 1..n-1, one grid per composition (k, n-k).
+
+    sigma[i, j] is the smallest singular value of the stacked annihilators
+    at moments (grid[i], grid[j]); pairs closer than scan_sep are +inf.
+    """
+    n, m = curve.n, len(grid)
+    period = curve.projective_period
+    anns = {k: _annihilators(curve, grid, k, tol) for k in range(1, n)}
+    d = np.abs(grid[:, None] - grid[None, :]) % period
+    band = np.minimum(d, period - d) < scan_sep
+    for k in range(1, n):
+        stacked = np.concatenate(
+            (np.broadcast_to(anns[k][:, None], (m, m, k, n + 1)),
+             np.broadcast_to(anns[n - k][None, :], (m, m, n - k, n + 1))),
+            axis=2)
+        sig = np.linalg.svd(stacked, compute_uv=False)[..., -1]
+        sig[band] = np.inf
+        yield k, sig
 
 
 def _intersection_dim_stable(curve, parts, moments, tol) -> int:
@@ -158,27 +186,17 @@ def _pair_scan(curve, tol):
     period = curve.projective_period
     scan_sep = max(0.05 * period, tol.moment_sep * period)
     grid = np.arange(PAIR_SCAN_GRID) * (period / PAIR_SCAN_GRID)
-    anns: dict[int, list[np.ndarray]] = {}
-
-    def ann_list(k: int) -> list[np.ndarray]:
-        if k not in anns:
-            anns[k] = [
-                projective.osculating_subspace(curve, float(t), n - k, tol)
-                .annihilator()
-                for t in grid
-            ]
-        return anns[k]
-
-    for k1 in range(1, n):
+    for k1, sig in _sigma_grids(curve, grid, scan_sep, tol):
         parts = (k1, n - k1)
-        A, B = ann_list(k1), ann_list(n - k1)
-        sig = np.full((PAIR_SCAN_GRID, PAIR_SCAN_GRID), np.inf)
-        for i, t1 in enumerate(grid):
-            for j, t2 in enumerate(grid):
-                if _circular_gap(t1, t2, period) < scan_sep:
-                    continue
-                stacked = np.vstack((A[i], B[j]))
-                sig[i, j] = np.linalg.svd(stacked, compute_uv=False)[-1]
+
+        def sigma(x):
+            if _circular_gap(x[0], x[1], period) < scan_sep:
+                return 1.0
+            stacked = np.concatenate(
+                (_annihilators(curve, x[:1], k1, tol)[0],
+                 _annihilators(curve, x[1:], n - k1, tol)[0]))
+            return float(np.linalg.svd(stacked, compute_uv=False)[-1])
+
         trigger = 0.15 * np.median(sig[np.isfinite(sig)])
         neighborhood = np.stack([
             np.roll(np.roll(sig, di, axis=0), dj, axis=1)
@@ -187,31 +205,35 @@ def _pair_scan(curve, tol):
         ])
         local_min = sig <= neighborhood.min(axis=0)
         order = np.argsort(np.where(local_min, sig, np.inf), axis=None)
+        refined, evals, best = 0, 0, np.inf
+        witness = None
         for flat in order[:12]:
             i, j = np.unravel_index(flat, sig.shape)
             if sig[i, j] > trigger:
                 break
             res = minimize(
-                lambda x: _criterion_sigma(curve, parts, x, tol)
-                if _circular_gap(x[0], x[1], period) >= scan_sep else 1.0,
-                x0=np.array([grid[i], grid[j]]),
-                method="Nelder-Mead",
+                sigma, x0=np.array([grid[i], grid[j]]), method="Nelder-Mead",
                 options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
             )
+            refined, evals = refined + 1, evals + res.nfev
+            best = min(best, float(res.fun))
             if res.fun >= _SIGMA_VIOLATION:
                 continue
+            # x % period rounds to period itself for a tiny negative x
             t1, t2 = (float(x % period) for x in res.x)
+            t1, t2 = (t if t < period else 0.0 for t in (t1, t2))
             try:
                 dim = _intersection_dim_stable(curve, parts, (t1, t2), tol)
             except PrecisionError:
                 continue
             if dim != 0:
-                return {
-                    "composition": parts,
-                    "moments": (t1, t2),
-                    "sigma_min": float(res.fun),
-                    "dim": dim,
-                }
+                witness = {"composition": parts, "moments": (t1, t2),
+                           "sigma_min": float(res.fun), "dim": dim}
+                break
+        _log.debug("pair scan %s: %d candidates refined, %d evaluations, "
+                   "smallest refined sigma %.3g", parts, refined, evals, best)
+        if witness is not None:
+            return witness
     return None
 
 

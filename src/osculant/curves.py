@@ -284,6 +284,6 @@ def dual_curve(curve: ParamCurve, tol: Tolerances = DEFAULT) -> ParamCurve:
     coeffs = curve.dual_coeffs
     w = fourier.evaluate(coeffs, _construction_grid(curve.n * curve.K))
     scale = np.linalg.norm(w, axis=1)
-    if scale.min() < 1e-9 * max(scale.max(), 1e-300):
+    if scale.min() < tol.rank_rel * max(scale.max(), 1e-300):
         raise DegeneracyError("order n-1 jet drops rank somewhere on the curve")
     return ParamCurve(coeffs, model=f"dual({curve.model})")

@@ -38,6 +38,17 @@ def test_check_convex_fails_on_wobbly_circle(tmp_path, capsys):
     assert doc["verdict"] == "fail"
 
 
+def test_check_convex_rejects_a_cusp(tmp_path, capsys):
+    # the astroid's cusps sit on the pair-scan grid: a geometric degeneracy
+    spec = {"model": "fourier", "n": 2, "coeffs": [
+        [1], [0, .75, 0, 0, 0, .25, 0], [0, 0, .75, 0, 0, 0, -.25]]}
+    path = tmp_path / "astroid.json"
+    path.write_text(json.dumps(spec))
+    code = main(["check-convex", "--curve", str(path), "--trials", "50"])
+    assert code == 1
+    assert "rejected" in capsys.readouterr().err
+
+
 def test_roots_reports_tangencies(capsys):
     code, doc = _run(capsys, "roots", "--curve", "trig_convex:2",
                      "(1, 3, 0)")

@@ -1,7 +1,9 @@
 """Both convexity checkers on the stock models and the negative controls."""
 
+import logging
 import math
 
+import numpy as np
 import pytest
 
 from osculant import (
@@ -9,7 +11,18 @@ from osculant import (
     check_convex_sampling,
     count_roots,
 )
-from osculant.curves import nonconvex_space_curve, perturbed_circle
+from osculant.config import DEFAULT
+from osculant.convexity import _annihilators, _sigma_grids
+from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
+                             perturbed_circle)
+from osculant.errors import DegeneracyError
+from osculant.projective import osculating_subspace
+
+ASTROID = [[1], [0, .75, 0, 0, 0, .25, 0], [0, 0, .75, 0, 0, 0, -.25]]
+
+
+def _grid(c):
+    return np.arange(96) * (c.projective_period / 96)
 
 
 def test_stock_models_pass_sampling(trig, rational):
@@ -31,8 +44,62 @@ def test_stock_models_pass_criterion(trig, rational):
 
 
 def test_pair_scan_clean_on_small_models(trig, rational):
-    for c in (trig[2], trig[3], rational[3]):
+    for c in (trig[2], trig[3], rational[3], trig[4], dual_curve(rational[4])):
         assert check_convex_criterion(c, samples=10, rng=0, pair_scan=True)
+
+
+def test_batched_annihilators_span_the_osculating_annihilators(trig, rational):
+    for n in range(2, 7):
+        for c in (trig[n], rational[n]):
+            grid = _grid(c)
+            for k in range(1, n + 1):
+                batch = _annihilators(c, grid, k, DEFAULT)
+                assert batch.shape == (96, k, n + 1)
+                for t, ann in zip(grid, batch):
+                    ref = osculating_subspace(c, t, n - k).annihilator()
+                    assert np.abs(ann.T @ ann - ref.T @ ref).max() < 1e-12
+
+
+def test_sigma_grid_matches_pairwise_loop(trig, rational):
+    for c in (trig[4], dual_curve(rational[4])):
+        n, period, grid = c.n, c.projective_period, _grid(c)
+        sep = 0.05 * period
+        grids = list(_sigma_grids(c, grid, sep, DEFAULT))
+        assert [k for k, _ in grids] == list(range(1, n))
+        for k, sig in grids:
+            ref = np.full((96, 96), np.inf)
+            for i, t1 in enumerate(grid):
+                for j, t2 in enumerate(grid):
+                    d = abs(t1 - t2) % period
+                    if min(d, period - d) < sep:
+                        continue
+                    stacked = np.vstack((
+                        osculating_subspace(c, t1, n - k).annihilator(),
+                        osculating_subspace(c, t2, k).annihilator()))
+                    ref[i, j] = np.linalg.svd(stacked, compute_uv=False)[-1]
+            assert np.array_equal(np.isinf(sig), np.isinf(ref))
+            finite = np.isfinite(ref)
+            assert np.abs(sig[finite] - ref[finite]).max() < 1e-10
+
+
+def test_cusp_on_the_scan_grid_is_a_degeneracy():
+    astroid = build_model("fourier", 2, ASTROID)
+    with pytest.raises(DegeneracyError):
+        _annihilators(astroid, _grid(astroid), 1, DEFAULT)
+    with pytest.raises(DegeneracyError):
+        check_convex_criterion(astroid, samples=10, rng=0)
+
+
+def test_pair_scan_logs_one_record_per_composition(trig, caplog):
+    check_convex_criterion(trig[3], samples=5, rng=0)
+    assert not [r for r in caplog.records if r.name == "osculant"]
+    caplog.set_level(logging.DEBUG, logger="osculant")
+    check_convex_criterion(trig[3], samples=5, rng=0)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 2)",
+                                               "pair scan (2, 1)"]
+    assert all("candidates refined" in m and "evaluations" in m
+               and "smallest refined sigma" in m for m in msgs)
 
 
 def test_perturbed_circle_fails_sampling():
@@ -43,12 +110,14 @@ def test_perturbed_circle_fails_sampling():
 
 
 def test_perturbed_circle_bitangent_witness():
-    report = check_convex_criterion(perturbed_circle(0.3), samples=50, rng=1)
+    pc = perturbed_circle(0.3)
+    report = check_convex_criterion(pc, samples=50, rng=1)
     assert not report
     w = report.witness
     assert w["composition"] == (1, 1)    # two tangent lines coincide
     assert w["sigma_min"] < 1e-10
     t1, t2 = w["moments"]
+    assert all(0 <= t < pc.projective_period for t in (t1, t2))
     assert abs(t1 - t2) > 0.1            # genuinely distinct moments
 
 
@@ -72,6 +141,7 @@ def test_space_curve_fails_both_checks():
     assert not report
     comp = report.witness["composition"]
     assert sorted(comp) == [1, 2]        # tangent line inside an osculating plane
+    assert all(0 <= t < sc.projective_period for t in report.witness["moments"])
     t1, t2 = sorted(t % (2 * math.pi) for t in report.witness["moments"])
     assert t1 == pytest.approx(0.0, abs=1e-6)
     assert t2 == pytest.approx(math.pi, abs=1e-6)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from osculant.config import DEFAULT
 from osculant.curves import (build_model, curve_from_spec, dual_curve,
                              nonconvex_space_curve, perturbed_circle)
+from osculant.errors import DegeneracyError
 
 
 def test_circle_is_the_circle():
@@ -104,6 +106,14 @@ def test_dual_of_circle_is_the_tangent_line():
     expected = np.array([-1.0, np.cos(t), np.sin(t)]) / np.sqrt(2)
     assert min(np.linalg.norm(w - expected),
                np.linalg.norm(w + expected)) < 1e-9
+
+
+def test_dual_curve_rank_gate_reads_tol():
+    # |gamma*| of rational_normal(4) varies by a factor of about 0.48
+    c = build_model("rational_normal", 4)
+    dual_curve(c, DEFAULT.with_overrides(rank_rel=0.4))
+    with pytest.raises(DegeneracyError):
+        dual_curve(c, DEFAULT.with_overrides(rank_rel=0.5))
 
 
 def test_derived_data_is_built_once():

@@ -81,6 +81,16 @@ def test_rank_deficient_jet_raises():
         osculating_subspace(flat, 0.3, 3)
 
 
+def test_vanishing_jet_row_is_a_degeneracy():
+    # the astroid's velocity vanishes at its cusp t = 0
+    astroid = build_model("fourier", 2, [[1], [0, .75, 0, 0, 0, .25, 0],
+                                         [0, 0, .75, 0, 0, 0, -.25]])
+    with pytest.raises(DegeneracyError):
+        osculating_subspace(astroid, 0.0, 1)
+    with pytest.raises(ValueError, match="zero row"):
+        Subspace.from_vectors([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
 def test_full_and_empty():
     assert Subspace.full(3).dim == 3
     assert Subspace.empty(3).dim == -1
