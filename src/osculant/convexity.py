@@ -112,8 +112,9 @@ def _annihilators(curve, ts, k, tol) -> np.ndarray:
 
     Returns orthonormal rows of shape (len(ts), k, n+1), spanning what
     osculating_subspace(curve, t, n-k).annihilator() spans, from one phase
-    product and one batched SVD.  A vanishing jet row or a rank drop at
-    tol.rank_rel raises DegeneracyError.
+    product and one batched SVD.  A jet row no longer than tol.rank_rel
+    times the longest row of its jet, or a rank drop at tol.rank_rel,
+    raises DegeneracyError.
     """
     n, K = curve.n, curve.K
     order = n - k
@@ -122,8 +123,8 @@ def _annihilators(curve, ts, k, tol) -> np.ndarray:
     ph = fourier.phase_matrix(np.atleast_1d(np.asarray(ts, float)), K)
     jets = np.real(ph @ deriv.T).reshape(-1, order + 1, n + 1)
     nrm = np.linalg.norm(jets, axis=2, keepdims=True)
-    if not nrm.all():
-        raise DegeneracyError(f"a jet of order {order} has a zero row")
+    if np.any(nrm <= tol.rank_rel * nrm.max(axis=1, keepdims=True)):
+        raise DegeneracyError(f"a jet of order {order} has a vanishing row")
     _, s, vt = np.linalg.svd(jets / nrm, full_matrices=True)
     if np.any(s[:, -1] <= tol.rank_rel * s[:, 0]):
         raise DegeneracyError(f"a jet of order {order} drops rank")

@@ -17,17 +17,20 @@ layer).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize_scalar
 
+from . import fourier
 from .config import DEFAULT, HULL_GRID, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError, PrecisionError
 from .projective import ProjPoint, Subspace, normalize
 from .tangency import count_roots
+
+_log = logging.getLogger("osculant")
 
 _SUPPORT_GRID = 512
 
@@ -83,27 +86,26 @@ class EllipticHull:
         if nd == 0.0:
             raise ValueError("direction must be nonzero")
         d = d / nd
-        dual = self.curve.dual
         period = self.curve.projective_period
         x0 = self.from_chart(self.center_chart)
         step = self.frame.T @ d
 
-        def ratio(tau: float) -> float:
-            a, _ = _oriented_covector(dual, float(tau), self.reference)
-            g = float(a @ x0)
-            q = float(a @ step)
-            if q >= -1e-14:
-                return np.inf
-            return g / -q
+        def ratios(ts: np.ndarray) -> np.ndarray:
+            a, _ = _oriented_covectors(self.curve.dual, ts, self.reference)
+            g = (a[:, None, :] @ x0[:, None])[:, 0, 0]
+            q = (a[:, None, :] @ step[:, None])[:, 0, 0]
+            return np.divide(g, -q, out=np.full(len(ts), np.inf),
+                             where=q < -1e-14)
 
         ts = np.arange(_SUPPORT_GRID) * (period / _SUPPORT_GRID)
-        vals = np.array([ratio(t) for t in ts])
+        vals = ratios(ts)
         if not np.isfinite(vals).any():
             raise GeometryError("hull is unbounded along the requested ray")
         i = int(np.argmin(vals))
         lo = ts[i] - period / _SUPPORT_GRID
         hi = ts[i] + period / _SUPPORT_GRID
-        res = minimize_scalar(ratio, bounds=(lo, hi), method="bounded",
+        res = minimize_scalar(lambda t: ratios(np.array([t]))[0],
+                              bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12})
         return float(min(res.fun, vals[i]))
 
@@ -111,18 +113,22 @@ class EllipticHull:
 def _orientation_reference(curve: ParamCurve) -> np.ndarray:
     """Curve samples used to orient covectors toward the curve side."""
     ts = np.arange(128) * (curve.projective_period / 128)
-    pts = curve.jet_grid(ts, 0)[:, 0, :]
-    return pts
+    return curve.jet_grid(ts, 0)[:, 0, :]
 
 
-def _oriented_covector(dual: ParamCurve, tau: float,
-                       reference: np.ndarray) -> tuple[np.ndarray, float]:
-    a = dual.point(tau)
-    a = a / np.linalg.norm(a)
-    sign = 1.0
-    if float(np.mean(reference @ a)) < 0.0:
-        a, sign = -a, -1.0
-    return a, sign
+def _oriented_covectors(dual: ParamCurve, ts: np.ndarray,
+                        reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit dual covectors at ts, flipped to pair positively on average with
+    reference; returns (covectors, signs).  Each row is its own (1 x m)
+    product on contiguous rows, which rounds like dual.point(t) and 1-d
+    dots; GEMM or strided rows round differently.
+    """
+    ph = fourier.phase_matrix(ts, dual.K)
+    a = np.real(np.matmul(ph[:, None, :], dual.coeffs.T))[:, 0, :]
+    a = np.ascontiguousarray(a)
+    a = a / np.sqrt(a[:, None, :] @ a[:, :, None])[:, 0]
+    signs = np.where((reference @ a.T).mean(axis=0) < 0.0, -1.0, 1.0)
+    return a * signs[:, None], signs
 
 
 def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID) -> EllipticHull:
@@ -134,12 +140,9 @@ def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID) -> EllipticHull:
     if n % 2 != 0:
         raise ValueError("the elliptic hull is convex only in even dimension")
     period = curve.projective_period
-    dual = curve.dual
     ref = _orientation_reference(curve)
     taus = np.arange(grid) * (period / grid)
-    pairs = [_oriented_covector(dual, float(t), ref) for t in taus]
-    covs = np.vstack([a for a, _ in pairs])
-    signs = np.array([s for _, s in pairs])
+    covs, signs = _oriented_covectors(curve.dual, taus, ref)
     if (ref @ covs.T).min() < -1e-9:
         raise GeometryError(
             "an osculating hyperplane crosses the curve; "
@@ -166,6 +169,8 @@ def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID) -> EllipticHull:
     )
     if not lp.success or lp.x[-1] <= 0.0:
         raise GeometryError("supporting half-spaces admit no interior point")
+    _log.debug("elliptic hull %s: grid %d, Chebyshev radius %.3g",
+               curve.model, grid, lp.x[-1])
     y0 = lp.x[:n]
     center_vec = w + frame.T @ y0
     return EllipticHull(

@@ -176,8 +176,9 @@ def osculating_subspace(curve, t: float, k: int, tol: Tolerances = DEFAULT) -> S
     if not 0 <= k <= n:
         raise ValueError(f"osculating order k must lie in 0..{n}")
     rows = curve.jet(t, k)
-    if not rows.any(axis=1).all():
-        raise DegeneracyError(f"jet of order {k} at t={t} has a zero row")
+    nrm = np.linalg.norm(rows, axis=1)
+    if np.any(nrm <= tol.rank_rel * nrm.max()):
+        raise DegeneracyError(f"jet of order {k} at t={t} has a vanishing row")
     q = _row_space(rows, tol.rank_rel)
     if q.shape[0] != k + 1:
         raise DegeneracyError(f"jet of order {k} at t={t} has rank {q.shape[0]}")

@@ -88,6 +88,10 @@ def test_cusp_on_the_scan_grid_is_a_degeneracy():
         _annihilators(astroid, _grid(astroid), 1, DEFAULT)
     with pytest.raises(DegeneracyError):
         check_convex_criterion(astroid, samples=10, rng=0)
+    # the velocity at these cusps evaluates to about 1e-16, not to 0
+    for t in (np.pi / 2, np.pi, 3 * np.pi / 2):
+        with pytest.raises(DegeneracyError):
+            _annihilators(astroid, np.array([t]), 1, DEFAULT)
 
 
 def test_pair_scan_logs_one_record_per_composition(trig, caplog):

@@ -1,7 +1,10 @@
 """Hull of the osculating-hyperplane family for even-dimensional curves."""
 
+import logging
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from osculant import (
     count_roots,
@@ -12,6 +15,7 @@ from osculant import (
 from osculant import hulls
 from osculant.curves import perturbed_circle
 from osculant.errors import GeometryError, PrecisionError
+from osculant.projection import project_iterated
 
 
 def test_circle_center_is_the_origin_of_the_disk(trig):
@@ -122,3 +126,74 @@ def test_distinct_rational_normal_hull(rational):
     assert elliptic_hull_membership(rational[4], hull.center, hull=hull)
     assert hull.taus.shape[0] == hull.covectors.shape[0]
     assert hull.covectors.shape[1] == 5
+
+
+def _scalar_oriented_covector(dual, tau, reference):
+    # the per-moment construction the batched path must reproduce exactly
+    a = dual.point(tau)
+    a = a / np.linalg.norm(a)
+    sign = 1.0
+    if float(np.mean(reference @ a)) < 0.0:
+        a, sign = -a, -1.0
+    return a, sign
+
+
+def _scalar_boundary_scale(hull, d):
+    d = np.asarray(d, float)
+    d = d / np.linalg.norm(d)
+    dual, period = hull.curve.dual, hull.curve.projective_period
+    x0 = hull.from_chart(hull.center_chart)
+    step = hull.frame.T @ d
+
+    def ratio(tau):
+        a, _ = _scalar_oriented_covector(dual, float(tau), hull.reference)
+        g, q = float(a @ x0), float(a @ step)
+        return np.inf if q >= -1e-14 else g / -q
+
+    grid = hulls._SUPPORT_GRID
+    ts = np.arange(grid) * (period / grid)
+    vals = np.array([ratio(t) for t in ts])
+    i = int(np.argmin(vals))
+    res = minimize_scalar(ratio, bounds=(ts[i] - period / grid,
+                                         ts[i] + period / grid),
+                          method="bounded", options={"xatol": 1e-12})
+    return float(min(res.fun, vals[i]))
+
+
+def _bitwise_curves(trig, rational):
+    child = project_iterated(trig[3], [0.7]).curve
+    return [trig[2], trig[4], trig[6], rational[2], rational[4], rational[6],
+            child]
+
+
+def test_batched_covectors_match_the_scalar_path_bitwise(trig, rational):
+    for c in _bitwise_curves(trig, rational):
+        hull = elliptic_hull(c)
+        pairs = [_scalar_oriented_covector(c.dual, float(t), hull.reference)
+                 for t in hull.taus]
+        covs, signs = hulls._oriented_covectors(c.dual, hull.taus,
+                                                hull.reference)
+        assert np.array_equal(covs, np.vstack([a for a, _ in pairs])), c
+        assert np.array_equal(signs, [s for _, s in pairs]), c
+        assert np.array_equal(hull.covectors, covs), c
+
+
+def test_batched_boundary_scale_matches_the_scalar_path_bitwise(
+        trig, rational, rng):
+    for c in _bitwise_curves(trig, rational):
+        hull = elliptic_hull(c)
+        for _ in range(5):
+            d = rng.standard_normal(hull.frame.shape[0])
+            assert hull.boundary_scale(d) == _scalar_boundary_scale(hull, d), c
+
+
+def test_hull_build_logs_one_record(trig, caplog):
+    elliptic_hull(trig[4])
+    assert not [r for r in caplog.records if r.name == "osculant"]
+    caplog.set_level(logging.DEBUG, logger="osculant")
+    elliptic_hull(trig[4])
+    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    assert len(msgs) == 1
+    assert msgs[0].startswith("elliptic hull trig_convex(4): grid 256, "
+                              "Chebyshev radius ")
+    assert float(msgs[0].rsplit(" ", 1)[1]) > 0.0

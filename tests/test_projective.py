@@ -87,6 +87,9 @@ def test_vanishing_jet_row_is_a_degeneracy():
                                          [0, 0, .75, 0, 0, 0, -.25]])
     with pytest.raises(DegeneracyError):
         osculating_subspace(astroid, 0.0, 1)
+    for t in (np.pi / 2, np.pi, 3 * np.pi / 2):    # velocity about 1e-16
+        with pytest.raises(DegeneracyError):
+            osculating_subspace(astroid, t, 1)
     with pytest.raises(ValueError, match="zero row"):
         Subspace.from_vectors([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
