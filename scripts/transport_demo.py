@@ -9,7 +9,8 @@ import argparse
 
 import numpy as np
 
-from osculant import count_roots, tangency_data, transport
+from osculant import (count_roots, realize, rescale_moments, tangency_data,
+                      transport)
 from osculant.cli import _load_curve
 from osculant.errors import OsculantError
 
@@ -34,7 +35,8 @@ def main():
         p = rng.standard_normal(c1.n + 1)
         try:
             data = tangency_data(c1, p)
-            q = np.asarray(transport(p, c1, c2).coords, float)
+            q = np.asarray(
+                realize(c2, rescale_moments(data, c1, c2)).coords, float)
             back = np.asarray(transport(q, c2, c1).coords, float)
         except OsculantError:
             skipped += 1       # numerically on the discriminant, redraw

@@ -24,8 +24,8 @@ from .projection import (ProjectedCurve, project_iterated,
 from .projective import (ProjPoint, Subspace, merge_moments, normalize,
                          osculating_hyperplane, osculating_intersection,
                          osculating_subspace, same_subspace)
-from .strata import (FiberPoint, StratumData, component_census, stratum_label,
-                     tangency_data, transport)
+from .strata import (FiberPoint, StratumData, component_census, realize,
+                     rescale_moments, stratum_label, tangency_data, transport)
 from .tangency import (RootCount, count_roots, order_of_tangency,
                        tangency_function)
 
@@ -74,6 +74,8 @@ __all__ = [
     "point_to_form",
     "project_iterated",
     "project_onto_osculating_hyperplane",
+    "realize",
+    "rescale_moments",
     "sample_discriminant",
     "same_subspace",
     "stratum_label",

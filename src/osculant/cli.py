@@ -23,7 +23,8 @@ from .errors import (GeometryError, OnDiscriminantError, OsculantError,
 from .mesh import export, sample_discriminant
 from .projection import project_iterated
 from .projective import normalize
-from .strata import component_census, tangency_data, transport
+from .strata import (component_census, realize, rescale_moments,
+                     tangency_data)
 from .hulls import elliptic_hull_membership
 from .tangency import count_roots
 
@@ -203,9 +204,11 @@ def _cmd_transport(cfg: RunConfig) -> int:
     c2 = _load_curve(cfg.curve2)
     p = _parse_point(cfg.point, c1.n + 1)
     d1 = tangency_data(c1, p, cfg.tol)
-    q = transport(p, c1, c2, cfg.tol)
+    if c1.n != c2.n:
+        raise ValueError("transport needs curves of the same ambient dimension")
+    q = realize(c2, rescale_moments(d1, c1, c2), cfg.tol)
     d2 = tangency_data(c2, q.coords, cfg.tol)
-    back = transport(q.coords, c2, c1, cfg.tol)
+    back = realize(c1, rescale_moments(d2, c2, c1), cfg.tol)
     a = p / np.linalg.norm(p)
     b = back.coords / np.linalg.norm(back.coords)
     rt = float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))

@@ -132,17 +132,19 @@ def _annihilators(curve, ts, k, tol) -> np.ndarray:
 
 
 def _sigma_grids(curve, grid, scan_sep, tol):
-    """Yield (k, sigma) for k = 1..n-1, one grid per composition (k, n-k).
+    """Yield (k, sigma) for k = 1..n//2, one grid per composition (k, n-k).
 
     sigma[i, j] is the smallest singular value of the stacked annihilators
     at moments (grid[i], grid[j]); pairs closer than scan_sep are +inf.
+    The grid of (n-k, k) stacks the same two blocks in the other order, so
+    its singular values are those of sigma.T and it is not computed.
     """
     n, m = curve.n, len(grid)
     period = curve.projective_period
     anns = {k: _annihilators(curve, grid, k, tol) for k in range(1, n)}
     d = np.abs(grid[:, None] - grid[None, :]) % period
     band = np.minimum(d, period - d) < scan_sep
-    for k in range(1, n):
+    for k in range(1, n // 2 + 1):
         stacked = np.concatenate(
             (np.broadcast_to(anns[k][:, None], (m, m, k, n + 1)),
              np.broadcast_to(anns[n - k][None, :], (m, m, n - k, n + 1))),
@@ -182,6 +184,11 @@ def _pair_scan(curve, tol):
     to the sampling bound instead.  A candidate only becomes a witness if
     the refined minimum is a certified rank drop: tiny smallest singular
     value and a tolerance-stable nonzero intersection dimension.
+
+    One search of (k, n-k) with k <= n-k stands for its mirror (n-k, k)
+    as well.  When k = n-k, a candidate (i, j) whose mirror (j, i) was
+    already refined is skipped: had that refinement found a witness, the
+    scan would have ended there.
     """
     n = curve.n
     period = curve.projective_period
@@ -207,11 +214,16 @@ def _pair_scan(curve, tol):
         local_min = sig <= neighborhood.min(axis=0)
         order = np.argsort(np.where(local_min, sig, np.inf), axis=None)
         refined, evals, best = 0, 0, np.inf
+        starts, skipped = set(), 0
         witness = None
         for flat in order[:12]:
             i, j = np.unravel_index(flat, sig.shape)
             if sig[i, j] > trigger:
                 break
+            if parts == parts[::-1] and (j, i) in starts:
+                skipped += 1
+                continue
+            starts.add((i, j))
             res = minimize(
                 sigma, x0=np.array([grid[i], grid[j]]), method="Nelder-Mead",
                 options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
@@ -231,8 +243,10 @@ def _pair_scan(curve, tol):
                 witness = {"composition": parts, "moments": (t1, t2),
                            "sigma_min": float(res.fun), "dim": dim}
                 break
-        _log.debug("pair scan %s: %d candidates refined, %d evaluations, "
-                   "smallest refined sigma %.3g", parts, refined, evals, best)
+        _log.debug("pair scan %s: covers %s by transpose, %d candidates "
+                   "refined, %d mirror candidates skipped, %d evaluations, "
+                   "smallest refined sigma %.3g",
+                   parts, parts[::-1], refined, skipped, evals, best)
         if witness is not None:
             return witness
     return None

@@ -58,7 +58,8 @@ def trimmed(coeffs: np.ndarray, rel: float = 1e-13) -> np.ndarray:
 
 
 # Phase matrices exp(1j * nu_k * t) are reused heavily when counting roots of
-# many points against one curve, so keep a small LRU cache.
+# many points against one curve, so keep a small LRU cache.  The key holds
+# the grid's bytes, not a hash of them, so two grids never share an entry.
 _PHASE_CACHE: OrderedDict = OrderedDict()
 _PHASE_CACHE_MAX = 12
 
@@ -67,7 +68,7 @@ def phase_matrix(ts: np.ndarray, K: int) -> np.ndarray:
     ts = np.asarray(ts, float)
     cacheable = ts.ndim == 1 and ts.shape[0] >= 256
     if cacheable:
-        key = (K, ts.shape[0], hash(ts.tobytes()))
+        key = (K, ts.tobytes())
         hit = _PHASE_CACHE.get(key)
         if hit is not None:
             _PHASE_CACHE.move_to_end(key)
@@ -136,32 +137,45 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)
 
 
+def _horner(desc: list, root: complex):
+    """Divide the descending coefficient list desc by (u - root).
+
+    Returns (quotient as a descending list, |remainder|).  Python complex
+    arithmetic gives the textbook product of numpy's scalar path at a
+    fraction of its cost per step; numpy's vectorized complex multiply can
+    differ from both in the last bit.
+    """
+    out, acc = [], 0j
+    for d in desc[:-1]:
+        acc = d + root * acc
+        out.append(acc)
+    return out, abs(desc[-1] + root * acc)
+
+
 def deflate_once(asc: np.ndarray, root: complex):
     """Divide sum_j asc[j] u**j by (u - root); return (quotient_asc, |remainder|)."""
-    desc = asc[::-1]
-    out = np.empty(len(desc) - 1, complex)
-    acc = 0.0 + 0.0j
-    for i, d in enumerate(desc[:-1]):
-        acc = d + root * acc
-        out[i] = acc
-    rem = desc[-1] + root * acc
-    return out[::-1].copy(), abs(rem)
+    q, rem = _horner(np.asarray(asc, complex)[::-1].tolist(), complex(root))
+    return np.array(q[::-1], complex), rem
 
 
-def deflate(asc: np.ndarray, roots, times: int):
-    """Divide repeatedly by (u - r) for each root, `times` times each.
+def deflate(rows: np.ndarray, roots, times: int):
+    """Divide each row repeatedly by (u - r) per root, `times` times each.
 
-    Returns (quotient, max relative remainder).  Large remainders mean the
-    function did not actually vanish at the corresponding parameters.
+    rows holds ascending coefficient arrays, one per row.  Returns (quotient
+    rows, max relative remainder), each remainder relative to the largest
+    coefficient of its own row.  Large remainders mean the function did not
+    actually vanish at the corresponding parameters.
     """
-    scale = np.abs(asc).max() or 1.0
-    worst = 0.0
-    q = np.asarray(asc, complex)
-    for _ in range(times):
-        for r in roots:
-            q, rem = deflate_once(q, r)
-            worst = max(worst, rem / scale)
-    return q, worst
+    rows = np.asarray(rows, complex)
+    divisors = [complex(r) for r in roots] * times
+    out, worst = [], 0.0
+    for desc, scale in zip(rows[:, ::-1].tolist(),
+                           np.abs(rows).max(axis=1).tolist()):
+        for r in divisors:
+            desc, rem = _horner(desc, r)
+            worst = max(worst, rem / (scale or 1.0))
+        out.append(desc[::-1])
+    return np.array(out, complex), worst
 
 
 class TrigPoly:

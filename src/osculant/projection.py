@@ -94,13 +94,8 @@ def _deflate_rows(rows: np.ndarray, tau: float, n: int, period: float):
     else:
         roots = [u, -u]
         scalar = (2j) ** (n - 1) * np.exp(0.5j * (n - 1) * tau)
-    out = []
-    worst = 0.0
-    for r in rows:
-        q, rem = fourier.deflate(r, roots, n - 1)
-        worst = max(worst, rem)
-        out.append(q)
-    return np.vstack(out) * scalar, worst
+    q, worst = fourier.deflate(rows, roots, n - 1)
+    return q * scalar, worst
 
 
 def project_onto_osculating_hyperplane(curve: ParamCurve, tau: float,

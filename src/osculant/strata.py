@@ -29,6 +29,8 @@ __all__ = [
     "StratumData",
     "stratum_label",
     "tangency_data",
+    "rescale_moments",
+    "realize",
     "transport",
     "component_census",
 ]
@@ -115,7 +117,23 @@ def tangency_data(c: ParamCurve, p, tol: Tolerances = DEFAULT) -> StratumData:
     return StratumData(i, moments, FiberPoint(tuple(d), min(rho, 1.0 - 1e-15)))
 
 
-def _realize(c: ParamCurve, data: StratumData, tol: Tolerances) -> ProjPoint:
+def rescale_moments(data: StratumData, c1: ParamCurve,
+                    c2: ParamCurve) -> StratumData:
+    """Carry data's moments from c1's parameter circle onto c2's.
+
+    The circles are identified by the orientation preserving linear map,
+    so moments rescale by the period ratio; for equal periods the data is
+    returned unchanged.
+    """
+    scale = c2.projective_period / c1.projective_period
+    if scale == 1.0:
+        return data
+    return StratumData(data.index, tuple(t * scale for t in data.moments),
+                       data.fiber_point)
+
+
+def realize(c: ParamCurve, data: StratumData,
+            tol: Tolerances = DEFAULT) -> ProjPoint:
     """Point of c's ambient space with the given stratum data."""
     if data.index == 0:
         cut = osculating_intersection(c, list(data.moments), tol)
@@ -141,20 +159,14 @@ def transport(p, c1: ParamCurve, c2: ParamCurve,
               tol: Tolerances = DEFAULT) -> ProjPoint:
     """Carry p across curves keeping stratum, moments and fiber coordinates.
 
-    Moment tuples live on each curve's own parameter circle.  When the two
-    projective periods differ the circles are identified by the orientation
-    preserving linear map, so moments rescale by the period ratio; for equal
-    periods they are carried over unchanged.
+    Moment tuples live on each curve's own parameter circle, so they go
+    through rescale_moments on the way; a caller that already holds
+    tangency_data(c1, p) can call realize on the rescaled data directly.
     """
     if c1.n != c2.n:
         raise ValueError("transport needs curves of the same ambient dimension")
-    data = tangency_data(c1, p, tol)
-    scale = c2.projective_period / c1.projective_period
-    if scale != 1.0:
-        data = StratumData(data.index,
-                           tuple(t * scale for t in data.moments),
-                           data.fiber_point)
-    return _realize(c2, data, tol)
+    data = rescale_moments(tangency_data(c1, p, tol), c1, c2)
+    return realize(c2, data, tol)
 
 
 def _spread_moments(n: int, period: float, rng: np.random.Generator) -> list:

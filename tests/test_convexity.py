@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from osculant import (
     count_roots,
 )
 from osculant.config import DEFAULT
-from osculant.convexity import _annihilators, _sigma_grids
+from osculant.convexity import _annihilators, _pair_scan, _sigma_grids
 from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
                              perturbed_circle)
 from osculant.errors import DegeneracyError
@@ -60,26 +61,56 @@ def test_batched_annihilators_span_the_osculating_annihilators(trig, rational):
                     assert np.abs(ann.T @ ann - ref.T @ ref).max() < 1e-12
 
 
+def _pairwise_sigma(c, grid, sep, k):
+    """The (k, n-k) sigma grid, one osculating_subspace pair at a time."""
+    n, period = c.n, c.projective_period
+    ref = np.full((len(grid), len(grid)), np.inf)
+    for i, t1 in enumerate(grid):
+        for j, t2 in enumerate(grid):
+            d = abs(t1 - t2) % period
+            if min(d, period - d) < sep:
+                continue
+            stacked = np.vstack((
+                osculating_subspace(c, t1, n - k).annihilator(),
+                osculating_subspace(c, t2, k).annihilator()))
+            ref[i, j] = np.linalg.svd(stacked, compute_uv=False)[-1]
+    return ref
+
+
 def test_sigma_grid_matches_pairwise_loop(trig, rational):
     for c in (trig[4], dual_curve(rational[4])):
-        n, period, grid = c.n, c.projective_period, _grid(c)
-        sep = 0.05 * period
+        n, grid = c.n, _grid(c)
+        sep = 0.05 * c.projective_period
         grids = list(_sigma_grids(c, grid, sep, DEFAULT))
-        assert [k for k, _ in grids] == list(range(1, n))
+        assert [k for k, _ in grids] == list(range(1, n // 2 + 1))
         for k, sig in grids:
-            ref = np.full((96, 96), np.inf)
-            for i, t1 in enumerate(grid):
-                for j, t2 in enumerate(grid):
-                    d = abs(t1 - t2) % period
-                    if min(d, period - d) < sep:
-                        continue
-                    stacked = np.vstack((
-                        osculating_subspace(c, t1, n - k).annihilator(),
-                        osculating_subspace(c, t2, k).annihilator()))
-                    ref[i, j] = np.linalg.svd(stacked, compute_uv=False)[-1]
+            ref = _pairwise_sigma(c, grid, sep, k)
             assert np.array_equal(np.isinf(sig), np.isinf(ref))
             finite = np.isfinite(ref)
             assert np.abs(sig[finite] - ref[finite]).max() < 1e-10
+
+
+def test_mirrored_sigma_grid_is_the_transpose(trig, rational):
+    # the scan drops (n-k, k) for k < n-k: its grid is the transpose of (k, n-k)
+    for c in (trig[4], dual_curve(rational[4])):
+        n, grid = c.n, _grid(c)
+        sep = 0.05 * c.projective_period
+        for k, sig in _sigma_grids(c, grid, sep, DEFAULT):
+            if k == n - k:
+                continue
+            mirror = _pairwise_sigma(c, grid, sep, n - k)
+            assert np.array_equal(np.isinf(mirror), np.isinf(sig.T))
+            finite = np.isfinite(mirror)
+            assert np.abs(sig.T[finite] - mirror[finite]).max() < 1e-12
+
+
+def test_pair_scan_control_witnesses_are_pinned():
+    w = _pair_scan(nonconvex_space_curve(), DEFAULT)
+    assert (w["composition"], w["moments"], w["dim"]) == \
+           ((1, 2), (0.0, 3.1415926540347137), 1)
+    w = _pair_scan(perturbed_circle(0.3), DEFAULT)
+    assert (w["composition"], w["moments"], w["dim"]) == \
+           ((1, 1), (3.7890534077767386, 2.494131899402835), 1)
 
 
 def test_cusp_on_the_scan_grid_is_a_degeneracy():
@@ -100,10 +131,23 @@ def test_pair_scan_logs_one_record_per_composition(trig, caplog):
     caplog.set_level(logging.DEBUG, logger="osculant")
     check_convex_criterion(trig[3], samples=5, rng=0)
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
-    assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 2)",
-                                               "pair scan (2, 1)"]
-    assert all("candidates refined" in m and "evaluations" in m
+    assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 2)"]
+    assert all("covers (2, 1) by transpose" in m and "candidates refined" in m
+               and "mirror candidates skipped" in m and "evaluations" in m
                and "smallest refined sigma" in m for m in msgs)
+
+
+def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
+    caplog.set_level(logging.DEBUG, logger="osculant")
+    check_convex_criterion(trig[4], samples=5, rng=0)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 3)",
+                                               "pair scan (2, 2)"]
+    refined, skipped = map(int, re.search(
+        r"(\d+) candidates refined, (\d+) mirror candidates skipped",
+        msgs[1]).groups())
+    assert refined < 12
+    assert skipped >= 1
 
 
 def test_perturbed_circle_fails_sampling():

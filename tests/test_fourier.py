@@ -1,5 +1,7 @@
 """Half-integer Fourier layer: evaluation, derivatives, deflation."""
 
+from collections import OrderedDict
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +52,20 @@ def test_deflate_removes_root_exactly():
     quot, rem = fourier.deflate_once(full, r)
     assert rem < 1e-12
     assert np.allclose(quot, q, atol=1e-12)
+
+
+def test_phase_cache_keys_on_the_grid_itself(monkeypatch):
+    # grids of one length whose hashes collide must not share a matrix
+    monkeypatch.setattr(fourier, "hash", lambda _: 0, raising=False)
+    monkeypatch.setattr(fourier, "_PHASE_CACHE", OrderedDict())
+    a = np.linspace(0.0, 4 * np.pi, 256, endpoint=False)
+    b = a + 0.5
+    pa = fourier.phase_matrix(a, 3)
+    pb = fourier.phase_matrix(b, 3)
+    assert np.array_equal(
+        pb, np.exp(1j * np.multiply.outer(b, fourier.frequencies(3))))
+    assert not np.array_equal(pa, pb)
+    assert fourier.phase_matrix(a, 3) is pa
 
 
 @settings(max_examples=30, deadline=None)

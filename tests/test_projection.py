@@ -12,6 +12,7 @@ from osculant import (
 )
 from osculant.curves import nonconvex_space_curve
 from osculant.errors import GeometryError
+from osculant.projection import _deflate_rows, _projected_rows
 
 
 def test_root_count_recursion(trig, rng):
@@ -94,3 +95,40 @@ def test_moment_count_limits(trig):
         project_iterated(trig[3], ())
     with pytest.raises(ValueError):
         project_iterated(trig[3], (0.1, 0.2, 0.3))
+
+
+def _scalar_deflate(asc, roots, times):
+    """Horner division on numpy complex scalars, one row at a time."""
+    scale = np.abs(asc).max() or 1.0
+    worst = 0.0
+    q = np.asarray(asc, complex)
+    for _ in range(times):
+        for r in roots:
+            desc = q[::-1]
+            out = np.empty(len(desc) - 1, complex)
+            acc = 0.0 + 0.0j
+            for i, d in enumerate(desc[:-1]):
+                acc = d + r * acc
+                out[i] = acc
+            q = out[::-1].copy()
+            worst = max(worst, abs(desc[-1] + r * acc) / scale)
+    return q, worst
+
+
+def test_deflation_matches_the_numpy_scalar_path_bitwise(trig, rational):
+    rng = np.random.default_rng(5)
+    for c in (trig[3], trig[4], trig[6], rational[4], rational[6]):
+        n, period = c.n, c.projective_period
+        for tau in rng.uniform(0.0, period, 20):
+            rows = _projected_rows(c, projective.osculating_hyperplane(c, tau))
+            got, worst = _deflate_rows(rows, float(tau), n, period)
+            u = np.exp(0.5j * tau)
+            if abs(period - np.pi) < 1e-12:
+                roots = [u, 1j * u, -u, -1j * u]
+                scalar = (2j) ** (n - 1) * np.exp(1j * (n - 1) * tau)
+            else:
+                roots = [u, -u]
+                scalar = (2j) ** (n - 1) * np.exp(0.5j * (n - 1) * tau)
+            per_row = [_scalar_deflate(r, roots, n - 1) for r in rows]
+            assert np.array_equal(got, np.vstack([q for q, _ in per_row]) * scalar)
+            assert worst == max(w for _, w in per_row)

@@ -11,6 +11,8 @@ from osculant import (
     component_census,
     count_roots,
     form_to_point,
+    realize,
+    rescale_moments,
     stratum_label,
     tangency_data,
     transport,
@@ -121,6 +123,23 @@ def test_transport_same_period_keeps_moments(trig, rng):
     d2 = tangency_data(c2, q)
     assert d1.index == d2.index
     assert np.allclose(sorted(d1.moments), sorted(d2.moments), atol=1e-8)
+
+
+def test_realize_on_held_data_matches_transport(trig, rational, rng):
+    # periods 2pi -> pi: the rescale is exercised, and the result is bitwise
+    c1, c2 = trig[4], rational[4]
+    done = 0
+    for _ in range(40):
+        p = rng.standard_normal(5)
+        try:
+            q = transport(p, c1, c2).coords
+        except OsculantError:
+            continue
+        data = rescale_moments(tangency_data(c1, p), c1, c2)
+        assert all(t < c2.projective_period for t in data.moments)
+        assert np.array_equal(realize(c2, data).coords, q)
+        done += 1
+    assert done >= 20
 
 
 def test_fiber_data_moves_continuously(trig, rng):
