@@ -15,7 +15,7 @@ from .curves import (ParamCurve, build_model, curve_from_spec, dual_curve,
 from .errors import (DegeneracyError, GeometryError, OnDiscriminantError,
                      OsculantError, PrecisionError)
 from .forms import (BinaryForm, factor_binary_form, form_to_point,
-                    point_to_form, sturm_count)
+                    point_to_form, sturm_count, trig_convex_map)
 from .hulls import (EllipticHull, elliptic_hull, elliptic_hull_membership,
                     hull_center)
 from .mesh import RuledSample, export, sample_discriminant
@@ -83,4 +83,5 @@ __all__ = [
     "tangency_data",
     "tangency_function",
     "transport",
+    "trig_convex_map",
 ]

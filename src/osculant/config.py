@@ -27,6 +27,5 @@ class Tolerances:
 
 DEFAULT = Tolerances()
 
-BRACKET_GRID = 4096     # initial sample count per period for root bracketing
-MAX_GRID = 1 << 20      # bracketing grid cap; beyond this a precision error is raised
+BRACKET_GRID = 4096     # samples per period behind the tangency-function scales
 HULL_GRID = 256         # default number of supporting half-space samples

@@ -218,7 +218,7 @@ def _pair_scan(curve, tol):
         witness = None
         for flat in order[:12]:
             i, j = np.unravel_index(flat, sig.shape)
-            if sig[i, j] > trigger:
+            if not local_min[i, j] or sig[i, j] > trigger:
                 break
             if parts == parts[::-1] and (j, i) in starts:
                 skipped += 1

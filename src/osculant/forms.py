@@ -310,6 +310,33 @@ def form_to_point(form: BinaryForm):
     return [c / comb(n, j) for j, c in enumerate(form.coeffs)]
 
 
+def trig_convex_map(n: int):
+    """Exact matrix E with E @ trig_convex(n)(t) = rational_normal(n)(s).
+
+    Row j holds the harmonic coefficients of cos^(n-j)(s) sin^j(s) in the
+    coordinate order of trig_convex(n), with s = t/2 for even n and s = t for
+    odd n.  E carries osculating flags to osculating flags, so the tangency
+    count of p on trig_convex(n) is sturm_count(point_to_form(E @ p)).
+    """
+    rows = []
+    for j in range(n + 1):
+        # z-coefficients of (z + 1/z)^(n-j) (z - 1/z)^j; the form is that
+        # product over 2^n i^j, and c z^m + conj(c) z^-m = 2 Re c cos(ms)
+        # - 2 Im c sin(ms)
+        coef: dict[int, int] = {}
+        for a in range(n - j + 1):
+            for b in range(j + 1):
+                m = n - 2 * a - 2 * b
+                coef[m] = coef.get(m, 0) + comb(n - j, a) * comb(j, b) * (-1) ** b
+        re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[j % 4]   # (-i)^j
+        row = []
+        for m in range(n % 2, n + 1, 2):
+            c = Fraction(coef.get(m, 0), 2 ** n)
+            row += [re * c] if m == 0 else [2 * re * c, -2 * im * c]
+        rows.append(row)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # real-rooted x positive factorization
 

@@ -22,7 +22,7 @@ from .curves import ParamCurve
 from .errors import GeometryError, OnDiscriminantError, PrecisionError
 from .projective import ProjPoint, normalize, osculating_intersection
 from .projection import project_iterated
-from .tangency import count_roots
+from .tangency import RootCount, count_roots
 
 __all__ = [
     "FiberPoint",
@@ -67,14 +67,18 @@ def stratum_label(c: ParamCurve, p, tol: Tolerances = DEFAULT) -> int:
     discriminant (a tangency escaped with the wrong multiplicity) and the
     point cannot be classified as given.
     """
+    return (c.n - _parity_checked(c, p, tol).total) // 2
+
+
+def _parity_checked(c: ParamCurve, p, tol: Tolerances) -> RootCount:
+    """count_roots, refused with OnDiscriminantError on a wrong-parity total."""
     rc = count_roots(c, p, tol)
-    n = c.n
-    if (n - rc.total) % 2 != 0:
+    if (c.n - rc.total) % 2 != 0:
         raise OnDiscriminantError(
             f"tangency total {rc.total} has the wrong parity for dimension "
-            f"{n}; the point sits numerically on the discriminant"
+            f"{c.n}; the point sits numerically on the discriminant"
         )
-    return (n - rc.total) // 2
+    return rc
 
 
 def _child_and_hull(c: ParamCurve, moments, tol: Tolerances):
@@ -87,13 +91,8 @@ def _child_and_hull(c: ParamCurve, moments, tol: Tolerances):
 
 def tangency_data(c: ParamCurve, p, tol: Tolerances = DEFAULT) -> StratumData:
     """Full classification of p: stratum index, moments, fiber coordinates."""
-    rc = count_roots(c, p, tol)
-    n = c.n
-    if (n - rc.total) % 2 != 0:
-        raise OnDiscriminantError(
-            f"tangency total {rc.total} has the wrong parity for dimension {n}"
-        )
-    i = (n - rc.total) // 2
+    rc = _parity_checked(c, p, tol)
+    i = (c.n - rc.total) // 2
     moments = tuple(rc.moments())
     if i == 0:
         # p is the single point cut out by the n osculating hyperplanes
@@ -229,10 +228,8 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
     for _ in range(samples):
         v = _census_point(c, rng)
         try:
-            total = count_roots(c, v, tol).total
-        except PrecisionError:
-            continue
-        if (n - total) % 2 != 0:
+            total = _parity_checked(c, v, tol).total
+        except (PrecisionError, OnDiscriminantError):
             continue
         if total not in expected:
             raise GeometryError(
@@ -257,11 +254,9 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
         v = _census_point(c, rng)
         w = v + 1e-5 * np.linalg.norm(v) * rng.standard_normal(n + 1)
         try:
-            a = count_roots(c, v, tol).total
-            b = count_roots(c, w, tol).total
-        except PrecisionError:
-            continue
-        if (n - a) % 2 != 0 or (n - b) % 2 != 0:
+            a = _parity_checked(c, v, tol).total
+            b = _parity_checked(c, w, tol).total
+        except (PrecisionError, OnDiscriminantError):
             continue
         if a != b:
             raise GeometryError(

@@ -7,10 +7,11 @@ along p gives F_p = (-1)^n <gamma*(t), p> with gamma* the osculating-hyperplane
 covector, whose trig-polynomial coefficients each curve computes once, so F_p
 and every derivative of it are available in closed form.
 
-Zeros are located on a dense grid (sign changes for odd orders, certified
-dips of |F_p| for even orders), refined by bracketed root finding, merged
-within a tolerance, and assigned multiplicities by a derivative scan that is
-cross-checked against membership of p in the osculating flag.
+With u = exp(i t / 2), F_p is u^(-K) times a degree-2K polynomial in u, so
+its zeros are the unit-circle eigenvalues of a companion matrix, folded onto
+one period.  They are kept where |F_p| is below the zero threshold, merged
+within a tolerance, then polished and assigned multiplicities by a derivative
+scan; order_of_tangency reads the same order off the osculating flag.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fourier
-from .config import BRACKET_GRID, DEFAULT, MAX_GRID, Tolerances
+from .config import BRACKET_GRID, DEFAULT, Tolerances
 from .errors import DegeneracyError, PrecisionError
 from .projective import merge_moments
 
@@ -92,43 +92,6 @@ def order_of_tangency(curve, p, tau: float, tol: Tolerances = DEFAULT) -> int:
     return best
 
 
-def _refine_bracket(F, a: float, b: float) -> float:
-    fa, fb = F(a), F(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if np.sign(fa) == np.sign(fb):
-        raise _Retry  # grid sample signs disagreed with pointwise values
-    return brentq(lambda x: float(F(x)), a, b, xtol=1e-14, rtol=8.9e-16)
-
-
-def count_roots(curve, p, tol: Tolerances = DEFAULT,
-                grid: int = BRACKET_GRID) -> RootCount:
-    """All tangency moments of p with orders; total counted with multiplicity.
-
-    The grid doubles (up to a cap) whenever a dip of |F_p| cannot be certified
-    as either a genuine even-order zero or a near miss; an uncertifiable
-    configuration raises PrecisionError.
-    """
-    F = tangency_function(curve, p)
-    period = curve.projective_period
-    while True:
-        try:
-            return _count_on_grid(curve, p, F, period, grid, tol)
-        except _Retry:
-            grid *= 2
-            if grid > MAX_GRID:
-                raise PrecisionError(
-                    "unresolved zero cluster of the tangency function; "
-                    "perturb the point or raise the resolution"
-                ) from None
-
-
-class _Retry(Exception):
-    pass
-
-
 def _continuation_sign(F: fourier.TrigPoly, period: float) -> float:
     """eta with F(t + period) = eta * F(t); +/-1 for consistent spectra."""
     c = F.coeffs
@@ -144,78 +107,34 @@ def _continuation_sign(F: fourier.TrigPoly, period: float) -> float:
     return float(eta)
 
 
-_GRID_OFFSET = 1.0 / np.pi  # irrational cell offset; keeps zeros off sample points
+_GRID_OFFSET = 1.0 / np.pi  # irrational offset of the sample grid behind the scales
+_UNIT_BAND = 1e-2       # ||u| - 1| of root candidates; high-order zeros split off the circle
 
 
-def _count_on_grid(curve, p, F, period, grid, tol) -> RootCount:
+def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
+    """All tangency moments of p with orders; total counted with multiplicity.
+
+    A zero whose order cannot be certified raises PrecisionError.
+    """
     n = curve.n
-    width = period / grid
-    ts = (np.arange(grid) + _GRID_OFFSET) * width
-    eta = _continuation_sign(F, period)
-    base0 = F.sample(ts)
-    base1 = F.sample(ts, order=1)
-    # rotate so the scan starts at the global max of |F|: a zero band can then
-    # never straddle the seam, and the wrapped tail picks up the sign eta
-    shift = int(np.argmax(np.abs(base0)))
-    idx = (np.arange(grid) + shift) % grid
-    wrapped = (np.arange(grid) + shift) >= grid
-    sgn = np.where(wrapped, eta, 1.0)
-    f0 = np.append(base0[idx] * sgn, eta * base0[shift])
-    f1 = np.append(base1[idx] * sgn, eta * base1[shift])
-    te = np.append(ts[idx] + wrapped * period, ts[shift] + period)
-    scale = np.abs(f0).max()
+    F = tangency_function(curve, p)
+    period = curve.projective_period
+    _continuation_sign(F, period)  # folding onto one period needs (anti)periodicity
+    ts = (np.arange(BRACKET_GRID) + _GRID_OFFSET) * (period / BRACKET_GRID)
+    scale = np.abs(F.sample(ts)).max()
     if scale == 0.0 or not np.isfinite(scale):
         raise DegeneracyError("tangency function vanished identically")
     zero_thr = tol.zero_rel * scale
-    dip_thr = 1e-4 * scale
-
-    s = np.where(f0 > zero_thr, 1, np.where(f0 < -zero_thr, -1, 0))
-    roots: list[float] = []
-
-    # odd-order zeros: definite sign changes, hopping over any zero band
-    if np.all(s != 0):
-        for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
-            roots.append(_refine_bracket(F, te[i], te[i + 1]) % period)
-    else:
-        i = 0
-        while i < grid:
-            if s[i] == 0:
-                i += 1
-                continue
-            j = i + 1
-            while j <= grid and s[j] == 0:
-                j += 1
-            if j > grid:
-                break
-            if s[j] == -s[i]:
-                roots.append(_refine_bracket(F, te[i], te[j]) % period)
-            i = j
-
-    # even-order zeros live at extrema of F; refine an extremum whenever the
-    # cell values and slopes admit |F| reaching the zero band inside the cell
-    F1 = F.deriv(1)
-    absf0 = np.abs(f0)
-    lo = np.minimum(absf0[:-1], absf0[1:])
-    reach = lo - 2.0 * width * np.maximum(np.abs(f1[:-1]), np.abs(f1[1:]))
-    cand = (f1[:-1] * f1[1:] < 0) & (reach <= dip_thr)
-    for i in np.nonzero(cand)[0]:
-        tstar = _refine_bracket(F1, te[i], te[i + 1])
-        v = float(F(tstar))
-        if abs(v) <= zero_thr:
-            roots.append(tstar % period)
-        elif s[i] != 0 and s[i] == s[i + 1] and s[i] * v < 0:
-            raise _Retry  # two crossings hidden in one cell; split them
-
-    clusters = merge_moments(roots, period, tol)
-    dscales: dict[int, float] = {0: scale, 1: np.abs(f1).max()}
-    sites = [
-        _assign_order(F, tau, ts, dscales, zero_thr, n, period, tol)
-        for tau, _size in clusters
-    ]
+    u = np.roots(F.coeffs[::-1])
+    u = u[np.abs(np.abs(u) - 1.0) <= _UNIT_BAND]
+    cands = (2.0 * np.angle(u)) % period
+    roots = cands[np.abs(F.sample(cands)) <= zero_thr]
+    dscales: dict[int, float] = {0: scale}
+    sites = [_assign_order(F, tau, ts, dscales, zero_thr, n, period, tol)
+             for tau, _size in merge_moments(roots, period, tol)]
     # polished locations of one zero found twice coincide; keep one per site
     tangencies = _cluster_sites(sites, period, tol.merge)
-    total = sum(m for _, m in tangencies)
-    return RootCount(tuple(sorted(tangencies)), total)
+    return RootCount(tuple(sorted(tangencies)), sum(m for _, m in tangencies))
 
 
 def _cluster_sites(sites, period, merge_tol):

@@ -26,6 +26,7 @@ from osculant import (
     project_onto_osculating_hyperplane,
     sturm_count,
     transport,
+    trig_convex_map,
 )
 from osculant.curves import dual_curve, nonconvex_space_curve
 from osculant.errors import OsculantError, PrecisionError
@@ -76,36 +77,44 @@ def test_projection_count_recursion(trig, verdict):
     verdict("root-count recursion", exact == total, f"{exact}/{total} exact")
 
 
-def test_exact_oracle_agreement(rational, verdict):
-    """Numerical tangency count equals the exact real-root count of forms."""
+def test_exact_oracle_agreement(trig, rational, verdict):
+    """Numerical tangency count equals the exact real-root count of forms.
+
+    A trig_convex point p is read through trig_convex_map, which carries its
+    osculating flags onto those of rational_normal.
+    """
     rng = np.random.default_rng(13)
     ok = True
     details = []
-    for n in range(2, 7):
-        mismatches = 0
-        retries = 0
-        done = 0
-        while done < 200:
-            coords = [Fraction(int(rng.integers(-20, 21)),
-                               int(rng.integers(1, 11)))
-                      for _ in range(n + 1)]
-            if not any(coords):
-                continue
-            f = point_to_form(coords, n)
-            try:
-                got = count_roots(rational[n],
-                                  [float(c) for c in coords]).total
-            except PrecisionError:
-                retries += 1
-                if retries > 10:     # 5 percent of 200
-                    break
-                continue
-            done += 1
-            if got != sturm_count(f):
-                mismatches += 1
-        good = done == 200 and mismatches == 0
-        ok = ok and good
-        details.append(f"n={n}:{mismatches} bad/{retries} retried")
+    for family, curves in (("rational", rational), ("trig", trig)):
+        for n in range(2, 7):
+            E = trig_convex_map(n) if family == "trig" else None
+            mismatches = 0
+            retries = 0
+            done = 0
+            while done < 200:
+                coords = [Fraction(int(rng.integers(-20, 21)),
+                                   int(rng.integers(1, 11)))
+                          for _ in range(n + 1)]
+                if not any(coords):
+                    continue
+                image = coords if E is None else [
+                    sum(e * c for e, c in zip(row, coords)) for row in E]
+                f = point_to_form(image, n)
+                try:
+                    got = count_roots(curves[n],
+                                      [float(c) for c in coords]).total
+                except PrecisionError:
+                    retries += 1
+                    if retries > 10:     # 5 percent of 200
+                        break
+                    continue
+                done += 1
+                if got != sturm_count(f):
+                    mismatches += 1
+            good = done == 200 and mismatches == 0
+            ok = ok and good
+            details.append(f"{family} n={n}:{mismatches} bad/{retries} retried")
     verdict("exact oracle agreement", ok, ", ".join(details))
 
 

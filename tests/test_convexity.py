@@ -150,6 +150,18 @@ def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
     assert skipped >= 1
 
 
+def test_pair_scan_refines_only_local_minima(rational, caplog):
+    # (1, 3) and (2, 2) each have 4 local minima under the trigger; the
+    # scan must stop there rather than walk on through non-minimum cells
+    caplog.set_level(logging.DEBUG, logger="osculant")
+    assert _pair_scan(dual_curve(rational[4]), DEFAULT) is None
+    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    counts = [tuple(map(int, re.search(
+        r"(\d+) candidates refined, (\d+) mirror candidates skipped",
+        m).groups())) for m in msgs]
+    assert counts == [(4, 0), (3, 1)]
+
+
 def test_perturbed_circle_fails_sampling():
     report = check_convex_sampling(perturbed_circle(0.3), trials=400, rng=1)
     assert not report

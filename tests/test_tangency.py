@@ -11,12 +11,13 @@ from osculant import (
     count_roots,
     form_to_point,
     order_of_tangency,
+    osculating_subspace,
     sturm_count,
     tangency_function,
 )
 from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
                              perturbed_circle)
-from osculant.errors import DegeneracyError
+from osculant.errors import DegeneracyError, PrecisionError
 
 
 def _form_from_roots(roots, degree):
@@ -130,6 +131,41 @@ def test_planted_double_root_order(rational):
     assert rc.total == 3
     tau2 = next(t for t, m in rc.tangencies if m == 2)
     assert order_of_tangency(rational[3], p, tau2) == 2
+
+
+def test_flag_points_report_their_order(trig, rational, rng):
+    # a point of the codimension-r osculating subspace at tau is a zero of
+    # order r there.  A draw that lies within member_rel of a deeper flag at a
+    # nearby moment is that deeper point at the library's tolerance, so an
+    # order the flag confirms there counts with the refusals, not as wrong
+    draws, refused, wrong = 0, 0, []
+    for c in (*trig.values(), *rational.values()):
+        n, period = c.n, c.projective_period
+        for r in range(1, n + 1):
+            for _ in range(20):
+                tau = rng.uniform(0.0, period)
+                basis = osculating_subspace(c, tau, n - r).basis
+                p = rng.standard_normal(n - r + 1) @ basis
+                draws += 1
+                try:
+                    rc = count_roots(c, p)
+                except PrecisionError:
+                    refused += 1
+                    continue
+                gap = [abs(t - tau) % period for t, _ in rc.tangencies]
+                hit = [m for (_, m), d in zip(rc.tangencies, gap)
+                       if min(d, period - d) <= 1e-6]
+                if rc.total <= n and (n - rc.total) % 2 == 0:
+                    if hit == [r]:
+                        continue
+                    if any(m > r and order_of_tangency(c, p, t) == m
+                           for t, m in rc.tangencies):
+                        refused += 1
+                        continue
+                wrong.append((c.model, r, tau, rc))
+    assert draws == 800
+    assert not wrong
+    assert refused <= draws // 100
 
 
 def test_bound_and_parity(trig, rational, rng):
