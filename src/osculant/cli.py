@@ -11,15 +11,13 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .convexity import check_convex_criterion, check_convex_sampling
 from .curves import ParamCurve, build_model, curve_from_spec
-from .errors import (GeometryError, OnDiscriminantError, OsculantError,
-                     PrecisionError)
+from .errors import OnDiscriminantError, OsculantError, PrecisionError
 from .mesh import export, sample_discriminant
 from .projection import project_iterated
 from .projective import normalize
@@ -34,25 +32,6 @@ EXIT_PRECISION = 2
 EXIT_USAGE = 3
 
 _MODEL_SHORTHAND = re.compile(r"^(trig_convex|rational_normal):(\d+)$")
-
-
-@dataclass
-class RunConfig:
-    """Everything a single CLI invocation needs; seed determines all draws."""
-
-    command: str
-    curve_spec: str | None = None
-    seed: int = 0
-    trials: int = 1000
-    samples: int = 2000
-    t_steps: int = 96
-    ruling_steps: int = 24
-    format: str = "csv"
-    out: str | None = None
-    point: str | None = None
-    moments: list = field(default_factory=list)
-    curve2: str | None = None
-    tol: Tolerances = DEFAULT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,46 +87,44 @@ def _report(rep) -> dict:
     return doc
 
 
-def _cmd_check_convex(cfg: RunConfig) -> int:
-    c = _load_curve(cfg.curve_spec)
-    samp = check_convex_sampling(c, trials=cfg.trials,
-                                 rng=np.random.default_rng(cfg.seed),
-                                 tol=cfg.tol)
-    crit = check_convex_criterion(c, samples=cfg.samples,
-                                  rng=np.random.default_rng(cfg.seed + 1),
-                                  tol=cfg.tol)
+def _cmd_check_convex(ns) -> int:
+    c = _load_curve(ns.curve)
+    samp = check_convex_sampling(c, trials=ns.trials,
+                                 rng=np.random.default_rng(ns.seed),
+                                 tol=ns.tol)
+    crit = check_convex_criterion(c, samples=ns.samples,
+                                  rng=np.random.default_rng(ns.seed + 1),
+                                  tol=ns.tol)
     ok = bool(samp) and bool(crit)
     _emit({"verdict": "pass" if ok else "fail",
            "sampling": _report(samp), "criterion": _report(crit)})
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _cmd_roots(cfg: RunConfig) -> int:
-    c = _load_curve(cfg.curve_spec)
-    p = _parse_point(cfg.point, c.n + 1)
-    rc = count_roots(c, p, cfg.tol)
+def _cmd_roots(ns) -> int:
+    c = _load_curve(ns.curve)
+    p = _parse_point(ns.point, c.n + 1)
+    rc = count_roots(c, p, ns.tol)
     _emit({"total": rc.total,
            "tangencies": [[t, m] for t, m in rc.tangencies]})
     return EXIT_PASS
 
 
-def _cmd_project(cfg: RunConfig) -> int:
-    c = _load_curve(cfg.curve_spec)
-    if not cfg.moments:
-        raise ValueError("project needs at least one moment")
-    child = project_iterated(c, [float(t) for t in cfg.moments], cfg.tol)
-    rep = check_convex_sampling(child.curve, trials=max(100, cfg.trials // 5),
-                                rng=np.random.default_rng(cfg.seed),
-                                tol=cfg.tol)
-    rng = np.random.default_rng(cfg.seed + 1)
-    k = len(cfg.moments)
+def _cmd_project(ns) -> int:
+    c = _load_curve(ns.curve)
+    child = project_iterated(c, ns.moments, ns.tol)
+    rep = check_convex_sampling(child.curve, trials=max(100, ns.trials // 5),
+                                rng=np.random.default_rng(ns.seed),
+                                tol=ns.tol)
+    rng = np.random.default_rng(ns.seed + 1)
+    k = len(ns.moments)
     drops = []
     for _ in range(10):
         # the recursion applies to points of the intersection subspace
         v = child.lift_point(rng.standard_normal(child.curve.n + 1))
         try:
-            before = count_roots(c, v, cfg.tol).total
-            after = child.count_roots(v, cfg.tol).total
+            before = count_roots(c, v, ns.tol).total
+            after = child.count_roots(v, ns.tol).total
         except OsculantError:
             continue
         drops.append(before - after)
@@ -160,26 +137,26 @@ def _cmd_project(cfg: RunConfig) -> int:
     return EXIT_PASS if (bool(rep) and recursion_ok) else EXIT_FAIL
 
 
-def _cmd_components(cfg: RunConfig) -> int:
-    c = _load_curve(cfg.curve_spec)
-    _emit(component_census(c, cfg.samples, seed=cfg.seed, tol=cfg.tol))
+def _cmd_components(ns) -> int:
+    c = _load_curve(ns.curve)
+    _emit(component_census(c, ns.samples, seed=ns.seed, tol=ns.tol))
     return EXIT_PASS
 
 
-def _cmd_hull(cfg: RunConfig) -> int:
-    c = _load_curve(cfg.curve_spec)
-    rng = np.random.default_rng(cfg.seed)
+def _cmd_hull(ns) -> int:
+    c = _load_curve(ns.curve)
+    rng = np.random.default_rng(ns.seed)
     probes = [rng.standard_normal(c.n + 1) for _ in range(20)]
     center = c.hull.center.coords if c.n % 2 == 0 else None
 
     def probe(v):
         try:
-            return elliptic_hull_membership(c, normalize(v), cfg.tol)
+            return elliptic_hull_membership(c, normalize(v), ns.tol)
         except OsculantError:
             return None
 
     verdicts = [probe(v) for v in probes]
-    doc = {"n": c.n, "seed": cfg.seed,
+    doc = {"n": c.n, "seed": ns.seed,
            "probes": [{"point": p, "member": m}
                       for p, m in zip(probes, verdicts)]}
     if center is not None:
@@ -188,27 +165,27 @@ def _cmd_hull(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def _cmd_mesh(cfg: RunConfig) -> int:
-    c = _load_curve(cfg.curve_spec)
-    if cfg.out is None:
+def _cmd_mesh(ns) -> int:
+    c = _load_curve(ns.curve)
+    if ns.out is None:
         raise ValueError("mesh needs --out")
-    s = sample_discriminant(c, cfg.t_steps, cfg.ruling_steps, cfg.tol)
-    path = export(s, cfg.format, cfg.out)
+    s = sample_discriminant(c, ns.t_steps, ns.ruling_steps, ns.tol)
+    path = export(s, ns.format, ns.out)
     _emit({"written": str(path), "resolution": list(s.resolution),
-           "format": cfg.format})
+           "format": ns.format})
     return EXIT_PASS
 
 
-def _cmd_transport(cfg: RunConfig) -> int:
-    c1 = _load_curve(cfg.curve_spec)
-    c2 = _load_curve(cfg.curve2)
-    p = _parse_point(cfg.point, c1.n + 1)
-    d1 = tangency_data(c1, p, cfg.tol)
+def _cmd_transport(ns) -> int:
+    c1 = _load_curve(ns.curve)
+    c2 = _load_curve(ns.curve2)
+    p = _parse_point(ns.point, c1.n + 1)
+    d1 = tangency_data(c1, p, ns.tol)
     if c1.n != c2.n:
         raise ValueError("transport needs curves of the same ambient dimension")
-    q = realize(c2, rescale_moments(d1, c1, c2), cfg.tol)
-    d2 = tangency_data(c2, q.coords, cfg.tol)
-    back = realize(c1, rescale_moments(d2, c2, c1), cfg.tol)
+    q = realize(c2, rescale_moments(d1, c1, c2), ns.tol)
+    d2 = tangency_data(c2, q.coords, ns.tol)
+    back = realize(c1, rescale_moments(d2, c2, c1), ns.tol)
     a = p / np.linalg.norm(p)
     b = back.coords / np.linalg.norm(back.coords)
     rt = float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
@@ -270,30 +247,22 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _config_from_args(ns) -> RunConfig:
-    tol = DEFAULT
-    overrides = {}
-    if ns.tol_rank is not None:
-        overrides["rank_rel"] = ns.tol_rank
-    if ns.tol_zero is not None:
-        overrides["zero_rel"] = ns.tol_zero
-    if overrides:
-        tol = tol.with_overrides(**overrides)
-    return RunConfig(
-        command=ns.command, curve_spec=ns.curve, seed=ns.seed,
-        trials=ns.trials, samples=ns.samples, t_steps=ns.t_steps,
-        ruling_steps=ns.ruling_steps, format=ns.format, out=ns.out,
-        point=getattr(ns, "point", None),
-        moments=list(getattr(ns, "moments", []) or []),
-        curve2=getattr(ns, "curve2", None),
-        tol=tol,
-    )
+def _tolerances(ns) -> Tolerances:
+    """DEFAULT with the --tol-rank and --tol-zero overrides applied."""
+    overrides = {k: v for k, v in (("rank_rel", ns.tol_rank),
+                                   ("zero_rel", ns.tol_zero)) if v is not None}
+    return DEFAULT.with_overrides(**overrides)
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
+def main(argv=None) -> int:
+    """Parse argv, run the command; returns the process exit code."""
     try:
-        return _COMMANDS[cfg.command](cfg)
+        ns = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        return int(e.code or 0)
+    ns.tol = _tolerances(ns)
+    try:
+        return _COMMANDS[ns.command](ns)
     except (PrecisionError, OnDiscriminantError) as e:
         print(f"precision: {e}", file=sys.stderr)
         return EXIT_PRECISION
@@ -303,14 +272,6 @@ def run(cfg: RunConfig) -> int:
     except (ValueError, OSError) as e:
         print(f"usage: {e}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def main(argv=None) -> int:
-    try:
-        ns = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    return run(_config_from_args(ns))
 
 
 if __name__ == "__main__":

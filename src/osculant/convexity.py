@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import fourier, projective
 from .config import DEFAULT, Tolerances
@@ -96,17 +95,6 @@ def _random_composition(n: int, rng) -> tuple[int, ...]:
     return tuple(int(x) for x in np.diff(np.concatenate(([0], cuts, [n]))))
 
 
-def _separated_moments(r: int, period: float, sep: float, rng) -> np.ndarray:
-    for _ in range(200):
-        ms = np.sort(rng.uniform(0.0, period, size=r))
-        if r == 1:
-            return ms
-        gaps = np.diff(np.concatenate((ms, [ms[0] + period])))
-        if gaps.min() >= sep:
-            return ms
-    raise PrecisionError("could not draw a separated moment tuple")
-
-
 def _annihilators(curve, ts, k, tol) -> np.ndarray:
     """Annihilators of the codimension-k osculating subspaces at every ts.
 
@@ -142,8 +130,7 @@ def _sigma_grids(curve, grid, scan_sep, tol):
     n, m = curve.n, len(grid)
     period = curve.projective_period
     anns = {k: _annihilators(curve, grid, k, tol) for k in range(1, n)}
-    d = np.abs(grid[:, None] - grid[None, :]) % period
-    band = np.minimum(d, period - d) < scan_sep
+    band = projective.circular_gap(grid[:, None], grid[None, :], period) < scan_sep
     for k in range(1, n // 2 + 1):
         stacked = np.concatenate(
             (np.broadcast_to(anns[k][:, None], (m, m, k, n + 1)),
@@ -170,11 +157,6 @@ def _intersection_dim_stable(curve, parts, moments, tol) -> int:
     return dim
 
 
-def _circular_gap(a: float, b: float, period: float) -> float:
-    d = abs(a - b) % period
-    return min(d, period - d)
-
-
 def _pair_scan(curve, tol):
     """Deterministic sweep for rank drops of two-part intersections.
 
@@ -190,6 +172,8 @@ def _pair_scan(curve, tol):
     already refined is skipped: had that refinement found a witness, the
     scan would have ended there.
     """
+    from scipy.optimize import minimize
+
     n = curve.n
     period = curve.projective_period
     scan_sep = max(0.05 * period, tol.moment_sep * period)
@@ -198,7 +182,7 @@ def _pair_scan(curve, tol):
         parts = (k1, n - k1)
 
         def sigma(x):
-            if _circular_gap(x[0], x[1], period) < scan_sep:
+            if projective.circular_gap(x[0], x[1], period) < scan_sep:
                 return 1.0
             stacked = np.concatenate(
                 (_annihilators(curve, x[:1], k1, tol)[0],
@@ -232,9 +216,7 @@ def _pair_scan(curve, tol):
             best = min(best, float(res.fun))
             if res.fun >= _SIGMA_VIOLATION:
                 continue
-            # x % period rounds to period itself for a tiny negative x
-            t1, t2 = (float(x % period) for x in res.x)
-            t1, t2 = (t if t < period else 0.0 for t in (t1, t2))
+            t1, t2 = (projective.fold(x, period) for x in res.x)
             try:
                 dim = _intersection_dim_stable(curve, parts, (t1, t2), tol)
             except PrecisionError:
@@ -270,7 +252,7 @@ def check_convex_criterion(curve, samples: int = 500, rng=None,
     sep = tol.moment_sep * period
     for _ in range(samples):
         parts = _random_composition(n, rng)
-        moments = _separated_moments(len(parts), period, sep, rng)
+        moments = projective.separated_moments(len(parts), period, sep, rng)
         dim = _intersection_dim_stable(curve, parts, moments, tol)
         if dim != 0:
             return ConvexityReport(

@@ -270,22 +270,13 @@ class BinaryForm:
                    for j, c in enumerate(self.coeffs))
 
 
-def sturm_count(form: BinaryForm, with_multiplicity: bool = True) -> int:
-    """Number of real projective roots, exactly.
+def sturm_count(form: BinaryForm) -> int:
+    """Number of real projective roots with multiplicity, exactly.
 
-    With multiplicity, each square-free factor of exponent i contributes i per
-    distinct real root, and the root at infinity contributes its degree drop.
+    Each square-free factor of exponent i contributes i per distinct real
+    root, and the root at infinity contributes its degree drop.
     """
-    p = form.dehomogenized()
-    inf = form.infinity_multiplicity()
-    if len(p) <= 1:
-        return inf if with_multiplicity else min(inf, 1)
-    if with_multiplicity:
-        finite = sum(i * count_real_roots_poly(g) for g, i in yun_squarefree(p))
-    else:
-        finite = count_real_roots_poly(p)
-        inf = min(inf, 1)
-    return finite + inf
+    return _real_mult_count(form.dehomogenized()) + form.infinity_multiplicity()
 
 
 def point_to_form(p, n: int | None = None) -> BinaryForm:

@@ -21,7 +21,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
 
 from . import fourier
 from .config import DEFAULT, HULL_GRID, Tolerances
@@ -81,6 +80,8 @@ class EllipticHull:
         minimum over moments, refined by one-dimensional minimization of
         the smooth ratio around the sampled argmin.
         """
+        from scipy.optimize import minimize_scalar
+
         d = np.asarray(direction, float)
         nd = np.linalg.norm(d)
         if nd == 0.0:
@@ -136,6 +137,8 @@ def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID) -> EllipticHull:
 
     curve.hull holds the model with the default grid, built once per curve.
     """
+    from scipy.optimize import linprog
+
     n = curve.n
     if n % 2 != 0:
         raise ValueError("the elliptic hull is convex only in even dimension")

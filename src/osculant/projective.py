@@ -45,9 +45,6 @@ class ProjPoint:
     def n(self) -> int:
         return self.coords.shape[0] - 1
 
-    def normalized(self) -> "ProjPoint":
-        return normalize(self.coords)
-
 
 def normalize(raw) -> ProjPoint:
     """Canonical representative: unit norm, first significant entry positive."""
@@ -195,27 +192,71 @@ def osculating_hyperplane(curve, t: float, tol: Tolerances = DEFAULT) -> np.ndar
     return h
 
 
+def fold(t, period: float) -> float:
+    """t reduced into [0, period).
+
+    t % period alone rounds to period itself for a tiny negative t.
+    """
+    t = float(t) % period
+    return t if t < period else 0.0
+
+
+def circular_gap(a, b, period: float):
+    """Distance between moments on the circle of the given period; broadcasts."""
+    d = np.abs(a - b) % period
+    return np.minimum(d, period - d)
+
+
+def separated_moments(r: int, period: float, sep: float, rng) -> np.ndarray:
+    """r sorted moments in [0, period) with circular gaps of at least sep.
+
+    Uniform draws are retried 200 times; after that the moments are evenly
+    spaced, which is separated whenever r * sep <= period.
+    """
+    for _ in range(200):
+        ts = np.sort(rng.uniform(0.0, period, r))
+        if np.diff(ts, append=ts[0] + period).min() >= sep:
+            return ts
+    return period * np.arange(r) / r
+
+
+def circular_clusters(ts, period: float, gap: float) -> list:
+    """Indices of sorted moments ts in [0, period], grouped on the circle.
+
+    Sorted neighbours at most gap apart chain into one group, and the last
+    group joins the first across the seam; that group lists the last
+    group's indices first, so each group ascends once its wrapped members
+    are moved down by period.
+    """
+    if not len(ts):
+        return []
+    groups = [[0]]
+    for i in range(1, len(ts)):
+        if ts[i] - ts[i - 1] <= gap:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    if len(groups) > 1 and (ts[0] + period) - ts[-1] <= gap:
+        groups[0] = groups.pop() + groups[0]
+    return groups
+
+
 def merge_moments(moments, period: float, tol: Tolerances = DEFAULT):
     """Group parameter values that coincide up to tolerance on the circle.
 
-    Returns [(representative, multiplicity), ...] sorted by representative in
-    [0, period).  Coincident moments are merged *before* any intersection is
-    formed, so r copies of t contribute the codimension-r osculating subspace.
+    Returns [(representative, multiplicity), ...] with representatives in
+    [0, period), one per circular_clusters group and in its order, so a group
+    across the seam comes first.  Coincident moments are merged *before* any
+    intersection is formed, so r copies of t contribute the codimension-r
+    osculating subspace.
     """
     ts = sorted(float(t) % period for t in moments)
-    if not ts:
-        return []
-    groups: list[list[float]] = [[ts[0]]]
-    for t in ts[1:]:
-        if t - groups[-1][-1] <= tol.merge:
-            groups[-1].append(t)
-        else:
-            groups.append([t])
-    # wraparound: last group may touch the first across period
-    if len(groups) > 1 and (groups[0][0] + period) - groups[-1][-1] <= tol.merge:
-        groups[0] = [t - period for t in groups[-1]] + groups[0]
-        groups.pop()
-    return [(float(np.mean(g)) % period, len(g)) for g in groups]
+    out = []
+    for g in circular_clusters(ts, period, tol.merge):
+        # members indexed above the group's last one wrapped across the seam
+        unwrapped = [ts[i] - period if i > g[-1] else ts[i] for i in g]
+        out.append((fold(np.mean(unwrapped), period), len(g)))
+    return out
 
 
 def osculating_intersection(curve, moments, tol: Tolerances = DEFAULT) -> Subspace:

@@ -20,7 +20,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError, OnDiscriminantError, PrecisionError
-from .projective import ProjPoint, normalize, osculating_intersection
+from .projective import (ProjPoint, normalize, osculating_intersection,
+                         separated_moments)
 from .projection import project_iterated
 from .tangency import RootCount, count_roots
 
@@ -168,16 +169,6 @@ def transport(p, c1: ParamCurve, c2: ParamCurve,
     return realize(c2, data, tol)
 
 
-def _spread_moments(n: int, period: float, rng: np.random.Generator) -> list:
-    """n moments on the circle with circular gaps at least 0.08 of the period."""
-    for _ in range(200):
-        ts = np.sort(rng.uniform(0.0, period, n))
-        gaps = np.diff(np.append(ts, ts[0] + period))
-        if gaps.min() >= 0.08 * period:
-            return [float(t) for t in ts]
-    return [period * k / n for k in range(n)]
-
-
 def _census_point(c: ParamCurve, rng: np.random.Generator) -> np.ndarray:
     """One census sample from a mixture of region-seeking draws.
 
@@ -203,7 +194,7 @@ def _census_point(c: ParamCurve, rng: np.random.Generator) -> np.ndarray:
         base = mix * c.point(t1) + (1.0 - mix) * c.point(t2)
         eps = 10.0 ** rng.uniform(-3.0, -1.0)
         return base + eps * (np.linalg.norm(base) + 1e-9) * rng.standard_normal(n + 1)
-    cut = osculating_intersection(c, _spread_moments(n, period, rng))
+    cut = osculating_intersection(c, separated_moments(n, period, 0.08 * period, rng))
     base = cut.spanning_point().coords
     return base + 1e-3 * rng.standard_normal(n + 1)
 

@@ -23,7 +23,8 @@ import numpy as np
 from . import fourier
 from .config import BRACKET_GRID, DEFAULT, Tolerances
 from .errors import DegeneracyError, PrecisionError
-from .projective import merge_moments
+from .projective import (circular_clusters, fold, merge_moments,
+                         osculating_subspace)
 
 
 @dataclass(frozen=True)
@@ -63,33 +64,15 @@ def order_of_tangency(curve, p, tau: float, tol: Tolerances = DEFAULT) -> int:
 
     Requires p to lie on the osculating hyperplane at tau; equals the order of
     tau as a zero of F_p.  Membership is decided by rank, not differentiation,
-    which keeps it usable for merged zero clusters.
+    which keeps it usable for merged zero clusters.  A vanishing jet row, as
+    at a cusp, raises DegeneracyError.
     """
     n = curve.n
     v = _point_vec(p, n + 1)
-    jets = curve.jet(tau, n - 1)
-    jets = jets / np.linalg.norm(jets, axis=1, keepdims=True)
-    best = 0
-    q: list[np.ndarray] = []
     for m in range(n):
-        w = jets[m].copy()
-        for b in q:
-            w -= (b @ w) * b
-        for b in q:  # second pass for orthogonality at high order
-            w -= (b @ w) * b
-        nw = np.linalg.norm(w)
-        if nw < 1e-13:
-            raise DegeneracyError(f"jet rows dependent at tau={tau}")
-        q.append(w / nw)
-        r = v.copy()
-        for b in q:
-            r -= (b @ r) * b
-        if np.linalg.norm(r) <= tol.member_rel:
-            best = n - m
-            break
-    if best == 0:
-        raise ValueError("point is not on the osculating hyperplane at tau")
-    return best
+        if osculating_subspace(curve, tau, m, tol).contains(v, tol):
+            return n - m
+    raise ValueError("point is not on the osculating hyperplane at tau")
 
 
 def _continuation_sign(F: fourier.TrigPoly, period: float) -> float:
@@ -130,26 +113,13 @@ def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
     cands = (2.0 * np.angle(u)) % period
     roots = cands[np.abs(F.sample(cands)) <= zero_thr]
     dscales: dict[int, float] = {0: scale}
-    sites = [_assign_order(F, tau, ts, dscales, zero_thr, n, period, tol)
-             for tau, _size in merge_moments(roots, period, tol)]
-    # polished locations of one zero found twice coincide; keep one per site
-    tangencies = _cluster_sites(sites, period, tol.merge)
+    sites = sorted(_assign_order(F, tau, ts, dscales, zero_thr, n, period, tol)
+                   for tau, _size in merge_moments(roots, period, tol))
+    # polished locations of one zero found twice coincide: keep the first
+    # site of each group (across the seam, the one at or above 0)
+    groups = circular_clusters([t for t, _ in sites], period, tol.merge)
+    tangencies = [(sites[min(g)][0], max(sites[i][1] for i in g)) for g in groups]
     return RootCount(tuple(sorted(tangencies)), sum(m for _, m in tangencies))
-
-
-def _cluster_sites(sites, period, merge_tol):
-    if not sites:
-        return []
-    out: list[list] = []
-    for tau, m in sorted(sites):
-        if out and tau - out[-1][0] <= merge_tol:
-            out[-1][1] = max(out[-1][1], m)
-        else:
-            out.append([tau, m])
-    if len(out) > 1 and (out[0][0] + period) - out[-1][0] <= merge_tol:
-        out[0][1] = max(out[0][1], out[-1][1])
-        out.pop()
-    return [(tau, m) for tau, m in out]
 
 
 def _newton_polish(G, t0: float, window: float):
@@ -204,9 +174,9 @@ def _assign_order(F, tau, ts, dscales, zero_thr, n, period, tol):
                for j in range(1, m)):
             continue
         if abs(float(F(t2, order=m))) > tol.deriv_rel * scale(m):
-            return t2 % period, m
+            return fold(t2, period), m
     if abs(float(F(tau, order=1))) > tol.deriv_rel * scale(1):
-        return tau % period, 1
+        return fold(tau, period), 1
     raise PrecisionError(
         f"cannot certify the tangency order at t={tau:.12g}; "
         "the derivative scan is inconclusive at every order"

@@ -130,6 +130,16 @@ def test_bad_flag_is_usage_error(capsys):
     assert main(["roots", "--nope"]) == 3
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported where it is first used, not at import time
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, osculant, osculant.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "osculant.cli", "roots",

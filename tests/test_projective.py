@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from osculant.config import DEFAULT
 from osculant.curves import build_model
 from osculant.errors import DegeneracyError
-from osculant.projective import (Subspace, merge_moments, normalize,
+from osculant.projective import (Subspace, circular_clusters, circular_gap,
+                                 fold, merge_moments, normalize,
                                  osculating_hyperplane,
                                  osculating_intersection, osculating_subspace,
-                                 same_subspace)
+                                 same_subspace, separated_moments)
 
 
 def test_normalize_scales_and_rejects_zero():
@@ -64,6 +66,46 @@ def test_intersection_of_two_tangent_lines_is_point(trig):
 def test_merge_moments_groups_repeats():
     merged = merge_moments([1.0, 1.0 + 1e-9, 2.5], 2 * np.pi)
     assert sorted(m for _, m in merged) == [1, 2]
+
+
+def test_fold_never_returns_the_period():
+    period = 2 * np.pi
+    assert -1e-18 % period == period    # the rounding fold guards against
+    assert fold(-1e-18, period) == 0.0
+    assert fold(np.float64(period + 0.5), period) == pytest.approx(0.5)
+    # a seam group whose mean is a tiny negative number
+    assert merge_moments([1e-17, np.nextafter(np.pi, 0)], np.pi) == [(0.0, 2)]
+
+
+def test_circular_gap_broadcasts():
+    a = np.array([0.1, 0.9])
+    gaps = circular_gap(a[:, None], a[None, :], 1.0)
+    assert np.allclose(gaps, [[0.0, 0.2], [0.2, 0.0]])
+    assert circular_gap(0.05, 0.95, 1.0) == pytest.approx(0.1)
+
+
+def test_circular_clusters_chain_and_join_across_the_seam():
+    # 0.3, 0.35, 0.4 chain although 0.4 is more than gap from 0.3, and 0.97
+    # joins 0.0 and 0.05 across the seam, listed first
+    ts = [0.0, 0.05, 0.3, 0.35, 0.4, 0.97]
+    assert circular_clusters(ts, 1.0, 0.06) == [[5, 0, 1], [2, 3, 4]]
+    assert circular_clusters([0.1, 0.5], 1.0, 0.06) == [[0], [1]]
+    assert circular_clusters([], 1.0, 0.06) == []
+    merged = merge_moments(ts, 1.0, DEFAULT.with_overrides(merge=0.06))
+    assert [m for _, m in merged] == [3, 3]
+    assert merged[0][0] == pytest.approx(0.02 / 3)
+    assert merged[1][0] == pytest.approx(0.35)
+
+
+def test_separated_moments_keep_their_gaps():
+    rng = np.random.default_rng(3)
+    for r in range(1, 7):
+        ts = separated_moments(r, np.pi, 0.08 * np.pi, rng)
+        assert len(ts) == r and np.all((0.0 <= ts) & (ts < np.pi))
+        assert np.diff(ts, append=ts[0] + np.pi).min() >= 0.08 * np.pi
+    # a gap random draws cannot meet falls back to evenly spaced moments
+    assert np.array_equal(separated_moments(4, 2.0, 0.5, rng),
+                          [0.0, 0.5, 1.0, 1.5])
 
 
 def test_coincident_moments_use_deeper_subspace(trig):

@@ -209,3 +209,15 @@ def test_census_constancy_draws_are_bounded(monkeypatch, trig):
     calls["n"] = 0
     assert main(["components", "--curve", "trig_convex:2",
                  "--samples", str(samples), "--seed", "1"]) == 2
+
+
+def test_census_with_every_draw_refused_exits_2(monkeypatch):
+    import osculant.strata as strata
+    from osculant.cli import main
+
+    def refuse(*a, **k):
+        raise PrecisionError("rejected")
+
+    monkeypatch.setattr(strata, "count_roots", refuse)
+    assert main(["components", "--curve", "trig_convex:3",
+                 "--samples", "20"]) == 2

@@ -168,6 +168,17 @@ def test_flag_points_report_their_order(trig, rational, rng):
     assert refused <= draws // 100
 
 
+def test_order_of_tangency_refuses_a_cusp():
+    # the astroid's velocity vanishes at t = 0 and evaluates to about 1e-16
+    # at t = pi/2, so neither moment has an osculating flag to read
+    astroid = build_model("fourier", 2, [[1], [0, .75, 0, 0, 0, .25, 0],
+                                         [0, 0, .75, 0, 0, 0, -.25]])
+    for t in (0.0, np.pi / 2):
+        jet = astroid.jet(t, 2)
+        with pytest.raises(DegeneracyError):
+            order_of_tangency(astroid, jet[0] + 0.37 * jet[2], t)
+
+
 def test_bound_and_parity(trig, rational, rng):
     for n in range(2, 6):
         for c in (trig[n], rational[n]):
