@@ -1,4 +1,4 @@
-"""Numerical tolerances and grid defaults shared across modules."""
+"""Numerical tolerances shared across modules."""
 
 from __future__ import annotations
 
@@ -26,6 +26,3 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
-
-BRACKET_GRID = 4096     # samples per period behind the tangency-function scales
-HULL_GRID = 256         # default number of supporting half-space samples

@@ -30,8 +30,8 @@ class ParamCurve:
 
     coeffs[i, K+k] is the coefficient of exp(1j*(k/2)*t) in coordinate i.
     Instances are immutable, and they own their derived data: the projective
-    period, the dual coefficients, the dual curve and the elliptic hull are
-    each computed at most once per curve.
+    period, the dual coefficients, the phases of the scale grid, the dual
+    curve and the elliptic hull are each computed at most once per curve.
     """
 
     def __init__(self, coeffs, model: str = "fourier"):
@@ -86,13 +86,21 @@ class ParamCurve:
         """
         n = self.n
         Kw = n * self.K
-        jets = self.jet_grid(_construction_grid(Kw), n - 1)     # (M, n, n+1)
+        jets = self.jet_grid(fourier.sample_grid(_construction_size(Kw)), n - 1)
         cols = np.arange(n + 1)
         rows = []
         for i in range(n + 1):
             minor = jets[:, :, cols != i]
             rows.append(fourier.from_samples(((-1.0) ** i) * np.linalg.det(minor), Kw))
         out = fourier.trimmed(np.vstack(rows))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def scale_phases(self) -> np.ndarray:
+        """Phases of the dual span on the offset grid behind every F_p scale."""
+        ts = (np.arange(4096) + 1.0 / np.pi) * (self._period / 4096)
+        out = fourier.phase_matrix(ts, fourier.halfspan(self.dual_coeffs))
         out.flags.writeable = False
         return out
 
@@ -123,12 +131,9 @@ def _projective_period(coeffs: np.ndarray) -> float:
     return 2.0 * np.pi
 
 
-def _construction_grid(K: int) -> np.ndarray:
-    """Power-of-two sample grid above the Nyquist rate for half-span K."""
-    M = 1
-    while M <= 2 * K + 2:
-        M *= 2
-    return fourier.sample_grid(M)
+def _construction_size(K: int) -> int:
+    """Power-of-two sample count above the Nyquist rate for half-span K."""
+    return 1 << (2 * K + 2).bit_length()
 
 
 def _harmonic_row(K: int, m: int, kind: str) -> np.ndarray:
@@ -282,8 +287,8 @@ def dual_curve(curve: ParamCurve, tol: Tolerances = DEFAULT) -> ParamCurve:
     jet drops rank has no dual curve.
     """
     coeffs = curve.dual_coeffs
-    w = fourier.evaluate(coeffs, _construction_grid(curve.n * curve.K))
-    scale = np.linalg.norm(w, axis=1)
+    w = fourier.to_samples(coeffs, _construction_size(curve.n * curve.K))
+    scale = np.linalg.norm(w, axis=0)
     if scale.min() < tol.rank_rel * max(scale.max(), 1e-300):
         raise DegeneracyError("order n-1 jet drops rank somewhere on the curve")
     return ParamCurve(coeffs, model=f"dual({curve.model})")

@@ -12,8 +12,6 @@ deflation helpers below divide out roots of that polynomial on the unit circle.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 
@@ -57,28 +55,8 @@ def trimmed(coeffs: np.ndarray, rel: float = 1e-13) -> np.ndarray:
     return coeffs[..., K - k_new : K + k_new + 1]
 
 
-# Phase matrices exp(1j * nu_k * t) are reused heavily when counting roots of
-# many points against one curve, so keep a small LRU cache.  The key holds
-# the grid's bytes, not a hash of them, so two grids never share an entry.
-_PHASE_CACHE: OrderedDict = OrderedDict()
-_PHASE_CACHE_MAX = 12
-
-
 def phase_matrix(ts: np.ndarray, K: int) -> np.ndarray:
-    ts = np.asarray(ts, float)
-    cacheable = ts.ndim == 1 and ts.shape[0] >= 256
-    if cacheable:
-        key = (K, ts.tobytes())
-        hit = _PHASE_CACHE.get(key)
-        if hit is not None:
-            _PHASE_CACHE.move_to_end(key)
-            return hit
-    ph = np.exp(1j * np.multiply.outer(ts, frequencies(K)))
-    if cacheable:
-        _PHASE_CACHE[key] = ph
-        if len(_PHASE_CACHE) > _PHASE_CACHE_MAX:
-            _PHASE_CACHE.popitem(last=False)
-    return ph
+    return np.exp(1j * np.multiply.outer(np.asarray(ts, float), frequencies(K)))
 
 
 def evaluate(coeffs: np.ndarray, ts, order: int = 0) -> np.ndarray:
@@ -132,6 +110,16 @@ def from_samples(values: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def to_samples(coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Values on sample_grid(M), M > 2K, on the last axis; inverts from_samples."""
+    K = halfspan(coeffs)
+    if M <= 2 * K:
+        raise ValueError("need more than 2K samples")
+    X = np.zeros(np.shape(coeffs)[:-1] + (M,), complex)
+    X[..., np.arange(-K, K + 1) % M] = coeffs
+    return np.real(np.fft.ifft(X, norm="forward"))
+
+
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients of the pointwise product; spans add."""
     return np.convolve(a, b)
@@ -150,12 +138,6 @@ def _horner(desc: list, root: complex):
         acc = d + root * acc
         out.append(acc)
     return out, abs(desc[-1] + root * acc)
-
-
-def deflate_once(asc: np.ndarray, root: complex):
-    """Divide sum_j asc[j] u**j by (u - root); return (quotient_asc, |remainder|)."""
-    q, rem = _horner(np.asarray(asc, complex)[::-1].tolist(), complex(root))
-    return np.array(q[::-1], complex), rem
 
 
 def deflate(rows: np.ndarray, roots, times: int):
@@ -199,6 +181,3 @@ class TrigPoly:
     def deriv(self, order: int = 1) -> "TrigPoly":
         c = self.coeffs * (1j * frequencies(self.K)) ** order
         return TrigPoly(c)
-
-    def sample(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
-        return evaluate(self.coeffs, ts, order)

@@ -23,15 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .config import DEFAULT, HULL_GRID, Tolerances
+from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError, PrecisionError
-from .projective import ProjPoint, Subspace, normalize
+from .projective import ProjPoint, normalize
 from .tangency import count_roots
 
 _log = logging.getLogger("osculant")
 
-_SUPPORT_GRID = 512
+_SUPPORT_GRID = 512     # support covectors per period; the LP keeps every other one
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,11 @@ class EllipticHull:
     positive; chart is their mean (the canonical affine chart covector);
     frame rows complete chart to an orthonormal basis, giving affine
     coordinates y with x = chart + frame.T @ y; reference holds the curve
-    samples that orient every dual covector toward the curve side.
+    samples that orient every dual covector toward the curve side; support
+    holds the oriented covectors of the 512-point grid, covectors its even rows.
     """
 
     curve: ParamCurve
-    ambient: Subspace
     taus: np.ndarray
     covectors: np.ndarray
     signs: np.ndarray
@@ -55,6 +55,7 @@ class EllipticHull:
     center: ProjPoint
     center_chart: np.ndarray
     reference: np.ndarray
+    support: np.ndarray
 
     @property
     def half_spaces(self) -> list:
@@ -91,23 +92,21 @@ class EllipticHull:
         x0 = self.from_chart(self.center_chart)
         step = self.frame.T @ d
 
-        def ratios(ts: np.ndarray) -> np.ndarray:
-            a, _ = _oriented_covectors(self.curve.dual, ts, self.reference)
+        def ratios(a: np.ndarray) -> np.ndarray:
             g = (a[:, None, :] @ x0[:, None])[:, 0, 0]
             q = (a[:, None, :] @ step[:, None])[:, 0, 0]
-            return np.divide(g, -q, out=np.full(len(ts), np.inf),
+            return np.divide(g, -q, out=np.full(len(a), np.inf),
                              where=q < -1e-14)
 
-        ts = np.arange(_SUPPORT_GRID) * (period / _SUPPORT_GRID)
-        vals = ratios(ts)
+        vals = ratios(self.support)
         if not np.isfinite(vals).any():
             raise GeometryError("hull is unbounded along the requested ray")
         i = int(np.argmin(vals))
-        lo = ts[i] - period / _SUPPORT_GRID
-        hi = ts[i] + period / _SUPPORT_GRID
-        res = minimize_scalar(lambda t: ratios(np.array([t]))[0],
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
+        h = period / _SUPPORT_GRID
+        res = minimize_scalar(lambda t: ratios(_oriented_covectors(
+            self.curve.dual, np.array([t]), self.reference)[0])[0],
+            bounds=(i * h - h, i * h + h), method="bounded",
+            options={"xatol": 1e-12})
         return float(min(res.fun, vals[i]))
 
 
@@ -132,10 +131,10 @@ def _oriented_covectors(dual: ParamCurve, ts: np.ndarray,
     return a * signs[:, None], signs
 
 
-def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID) -> EllipticHull:
+def elliptic_hull(curve: ParamCurve) -> EllipticHull:
     """Build the sampled hull model of an even-dimensional convex curve.
 
-    curve.hull holds the model with the default grid, built once per curve.
+    curve.hull holds the model, built once per curve.
     """
     from scipy.optimize import linprog
 
@@ -144,8 +143,12 @@ def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID) -> EllipticHull:
         raise ValueError("the elliptic hull is convex only in even dimension")
     period = curve.projective_period
     ref = _orientation_reference(curve)
-    taus = np.arange(grid) * (period / grid)
-    covs, signs = _oriented_covectors(curve.dual, taus, ref)
+    ts = np.arange(_SUPPORT_GRID) * (period / _SUPPORT_GRID)
+    support, support_signs = _oriented_covectors(curve.dual, ts, ref)
+    # i * (P/256) == 2i * (P/512) and each row is its own product, so the
+    # even rows are the covectors of the 256-point grid bit for bit
+    taus, signs = ts[::2], support_signs[::2]
+    covs = np.ascontiguousarray(support[::2])
     if (ref @ covs.T).min() < -1e-9:
         raise GeometryError(
             "an osculating hyperplane crosses the curve; "
@@ -173,12 +176,11 @@ def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID) -> EllipticHull:
     if not lp.success or lp.x[-1] <= 0.0:
         raise GeometryError("supporting half-spaces admit no interior point")
     _log.debug("elliptic hull %s: grid %d, Chebyshev radius %.3g",
-               curve.model, grid, lp.x[-1])
+               curve.model, len(taus), lp.x[-1])
     y0 = lp.x[:n]
     center_vec = w + frame.T @ y0
     return EllipticHull(
         curve=curve,
-        ambient=Subspace.full(n),
         taus=taus,
         covectors=covs,
         signs=signs,
@@ -187,6 +189,7 @@ def elliptic_hull(curve: ParamCurve, grid: int = HULL_GRID) -> EllipticHull:
         center=normalize(center_vec),
         center_chart=y0,
         reference=ref,
+        support=support,
     )
 
 

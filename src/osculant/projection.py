@@ -130,9 +130,7 @@ def project_onto_osculating_hyperplane(curve: ParamCurve, tau: float,
     inner = fourier.trimmed(B.astype(complex) @ herm)
     child = ParamCurve(inner, model=f"proj({curve.model} @ {tau:.6g})")
 
-    ts = np.linspace(0.0, 4.0 * np.pi, 1024, endpoint=False)
-    vals = child.jet_grid(ts, 0)[:, 0, :]
-    norms = np.linalg.norm(vals, axis=1)
+    norms = np.linalg.norm(fourier.to_samples(child.coeffs, 1024), axis=0)
     if norms.min() < _MIN_NORM_REL * norms.max():
         raise GeometryError(
             "projected parameterization vanishes: some tangent line lies "

@@ -13,6 +13,8 @@ rests on.
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,8 @@ __all__ = [
     "transport",
     "component_census",
 ]
+
+_log = logging.getLogger("osculant")
 
 _RADIUS_SLACK = 1e-9
 _CONSTANCY_DRAWS = 10   # draw cap of the constancy check, per requested pair
@@ -209,51 +213,64 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
     is a hard failure, while a missing value means the sampling never reached
     that stratum.  Local constancy of the count is spot-checked on fresh
     points nudged by 1e-5; if 10 * constancy_checks draws do not yield
-    that many certified pairs, the census raises PrecisionError.
+    that many certified pairs, the census raises PrecisionError.  Each
+    phase logs its draws and discards at DEBUG, also when it raises.
     """
     n = c.n
     rng = np.random.default_rng(seed)
     expected = set(range(n % 2, n + 1, 2))
     hist: dict[int, int] = {}
-    kept = 0
-    for _ in range(samples):
-        v = _census_point(c, rng)
-        try:
-            total = _parity_checked(c, v, tol).total
-        except (PrecisionError, OnDiscriminantError):
-            continue
-        if total not in expected:
-            raise GeometryError(
-                f"tangency count {total} observed; dimension {n} admits only "
-                f"{sorted(expected)}"
-            )
-        hist[total] = hist.get(total, 0) + 1
-        kept += 1
-    if set(hist) != expected:
-        missing = sorted(expected - set(hist))
-        raise PrecisionError(
-            f"census with {samples} samples never reached counts {missing}"
-        )
-    checked = draws = 0
-    while checked < constancy_checks:
-        if draws >= _CONSTANCY_DRAWS * constancy_checks:
+    refused: Counter = Counter()
+    try:
+        for _ in range(samples):
+            v = _census_point(c, rng)
+            try:
+                total = _parity_checked(c, v, tol).total
+            except (PrecisionError, OnDiscriminantError) as exc:
+                refused[type(exc)] += 1
+                continue
+            if total not in expected:
+                raise GeometryError(
+                    f"tangency count {total} observed; dimension {n} admits "
+                    f"only {sorted(expected)}"
+                )
+            hist[total] = hist.get(total, 0) + 1
+        if set(hist) != expected:
+            missing = sorted(expected - set(hist))
             raise PrecisionError(
-                f"constancy check discarded {draws - checked} of {draws} "
-                f"draws before reaching {constancy_checks} certified pairs"
+                f"census with {samples} samples never reached counts {missing}"
             )
-        draws += 1
-        v = _census_point(c, rng)
-        w = v + 1e-5 * np.linalg.norm(v) * rng.standard_normal(n + 1)
-        try:
-            a = _parity_checked(c, v, tol).total
-            b = _parity_checked(c, w, tol).total
-        except (PrecisionError, OnDiscriminantError):
-            continue
-        if a != b:
-            raise GeometryError(
-                f"tangency count jumped {a} -> {b} under a 1e-5 perturbation"
-            )
-        checked += 1
+    finally:
+        _log.debug("census %s sampling: %d of %d kept; discarded PrecisionError "
+                   "%d, OnDiscriminantError %d", c.model, sum(hist.values()),
+                   samples, refused[PrecisionError], refused[OnDiscriminantError])
+    checked = draws = 0
+    refused = Counter()
+    try:
+        while checked < constancy_checks:
+            if draws >= _CONSTANCY_DRAWS * constancy_checks:
+                raise PrecisionError(
+                    f"constancy check discarded {draws - checked} of {draws} "
+                    f"draws before reaching {constancy_checks} certified pairs"
+                )
+            draws += 1
+            v = _census_point(c, rng)
+            w = v + 1e-5 * np.linalg.norm(v) * rng.standard_normal(n + 1)
+            try:
+                a = _parity_checked(c, v, tol).total
+                b = _parity_checked(c, w, tol).total
+            except (PrecisionError, OnDiscriminantError) as exc:
+                refused[type(exc)] += 1
+                continue
+            if a != b:
+                raise GeometryError(
+                    f"tangency count jumped {a} -> {b} under a 1e-5 perturbation"
+                )
+            checked += 1
+    finally:
+        _log.debug("census %s constancy: %d pairs certified in %d draws; discarded "
+                   "PrecisionError %d, OnDiscriminantError %d", c.model, checked,
+                   draws, refused[PrecisionError], refused[OnDiscriminantError])
     return {
         "n": n,
         "samples": samples,

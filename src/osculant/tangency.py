@@ -16,12 +16,13 @@ scan; order_of_tangency reads the same order off the osculating flag.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fourier
-from .config import BRACKET_GRID, DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError, PrecisionError
 from .projective import (circular_clusters, fold, merge_moments,
                          osculating_subspace)
@@ -90,7 +91,6 @@ def _continuation_sign(F: fourier.TrigPoly, period: float) -> float:
     return float(eta)
 
 
-_GRID_OFFSET = 1.0 / np.pi  # irrational offset of the sample grid behind the scales
 _UNIT_BAND = 1e-2       # ||u| - 1| of root candidates; high-order zeros split off the circle
 
 
@@ -103,23 +103,28 @@ def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
     F = tangency_function(curve, p)
     period = curve.projective_period
     _continuation_sign(F, period)  # folding onto one period needs (anti)periodicity
-    ts = (np.arange(BRACKET_GRID) + _GRID_OFFSET) * (period / BRACKET_GRID)
-    scale = np.abs(F.sample(ts)).max()
-    if scale == 0.0 or not np.isfinite(scale):
+    scale = _scales(curve, F)
+    if scale(0) == 0.0 or not np.isfinite(scale(0)):
         raise DegeneracyError("tangency function vanished identically")
-    zero_thr = tol.zero_rel * scale
+    zero_thr = tol.zero_rel * scale(0)
     u = np.roots(F.coeffs[::-1])
     u = u[np.abs(np.abs(u) - 1.0) <= _UNIT_BAND]
     cands = (2.0 * np.angle(u)) % period
-    roots = cands[np.abs(F.sample(cands)) <= zero_thr]
-    dscales: dict[int, float] = {0: scale}
-    sites = sorted(_assign_order(F, tau, ts, dscales, zero_thr, n, period, tol)
+    roots = cands[np.abs(F(cands)) <= zero_thr]
+    sites = sorted(_assign_order(F, tau, scale, zero_thr, n, period, tol)
                    for tau, _size in merge_moments(roots, period, tol))
     # polished locations of one zero found twice coincide: keep the first
     # site of each group (across the seam, the one at or above 0)
     groups = circular_clusters([t for t, _ in sites], period, tol.merge)
     tangencies = [(sites[min(g)][0], max(sites[i][1] for i in g)) for g in groups]
     return RootCount(tuple(sorted(tangencies)), sum(m for _, m in tangencies))
+
+
+def _scales(curve, F: fourier.TrigPoly):
+    """j -> max |F^(j)| on the curve's scale grid, by fourier.evaluate's product."""
+    ph, c, nu = curve.scale_phases, F.coeffs, 1j * fourier.frequencies(F.K)
+    return functools.cache(
+        lambda j: np.abs(np.real(ph @ (c * nu ** j if j else c))).max())
 
 
 def _newton_polish(G, t0: float, window: float):
@@ -138,7 +143,7 @@ def _newton_polish(G, t0: float, window: float):
     return t
 
 
-def _assign_order(F, tau, ts, dscales, zero_thr, n, period, tol):
+def _assign_order(F, tau, scale, zero_thr, n, period, tol):
     """Order of tau as a zero of F, relocating tau for high orders.
 
     A zero of order m is pinned down by values of F alone only to about
@@ -150,12 +155,6 @@ def _assign_order(F, tau, ts, dscales, zero_thr, n, period, tol):
     hypothesis cannot swallow a genuinely distinct neighbouring zero.
     """
     eps = np.finfo(float).eps
-
-    def scale(j: int) -> float:
-        if j not in dscales:
-            dscales[j] = np.abs(F.sample(ts, order=j)).max()
-        return dscales[j]
-
     fact = 1.0
     deltas = {}
     for m in range(2, n + 1):

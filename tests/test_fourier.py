@@ -1,8 +1,7 @@
 """Half-integer Fourier layer: evaluation, derivatives, deflation."""
 
-from collections import OrderedDict
-
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from osculant import fourier
@@ -41,6 +40,15 @@ def test_from_samples_roundtrip():
     vals = fourier.evaluate(c, ts)
     back = fourier.from_samples(vals, 5)
     assert np.allclose(back, c, atol=1e-12)
+    # and back to samples, also for stacked rows and the smallest M
+    rows = np.vstack([c, fourier.pad_to(random_real_coeffs(rng, 2), 5)])
+    for coeffs in (c, rows):
+        for m in (11, M, 1024):
+            want = fourier.evaluate(coeffs, fourier.sample_grid(m)).T
+            got = fourier.to_samples(coeffs, m)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(ValueError):
+        fourier.to_samples(c, 10)
 
 
 def test_deflate_removes_root_exactly():
@@ -49,23 +57,9 @@ def test_deflate_removes_root_exactly():
     q = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     r = np.exp(0.7j)
     full = fourier.convolve(np.array([-r, 1.0]), q)
-    quot, rem = fourier.deflate_once(full, r)
+    quot, rem = fourier.deflate(full[None], [r], 1)
     assert rem < 1e-12
-    assert np.allclose(quot, q, atol=1e-12)
-
-
-def test_phase_cache_keys_on_the_grid_itself(monkeypatch):
-    # grids of one length whose hashes collide must not share a matrix
-    monkeypatch.setattr(fourier, "hash", lambda _: 0, raising=False)
-    monkeypatch.setattr(fourier, "_PHASE_CACHE", OrderedDict())
-    a = np.linspace(0.0, 4 * np.pi, 256, endpoint=False)
-    b = a + 0.5
-    pa = fourier.phase_matrix(a, 3)
-    pb = fourier.phase_matrix(b, 3)
-    assert np.array_equal(
-        pb, np.exp(1j * np.multiply.outer(b, fourier.frequencies(3))))
-    assert not np.array_equal(pa, pb)
-    assert fourier.phase_matrix(a, 3) is pa
+    assert np.allclose(quot[0], q, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 """Root-filtration strata: labels, fiber data, transport, census."""
 
+import logging
 import math
 from fractions import Fraction
 
@@ -209,6 +210,48 @@ def test_census_constancy_draws_are_bounded(monkeypatch, trig):
     calls["n"] = 0
     assert main(["components", "--curve", "trig_convex:2",
                  "--samples", str(samples), "--seed", "1"]) == 2
+
+
+def test_census_logs_one_record_per_phase(monkeypatch, trig, caplog):
+    import osculant.strata as strata
+
+    real, calls = strata.count_roots, [0]
+
+    def flaky(*a, **k):
+        # every 4th count is refused, every other 5th has the wrong parity
+        calls[0] += 1
+        if calls[0] % 4 == 0:
+            raise PrecisionError("refused")
+        rc = real(*a, **k)
+        return RootCount(rc.tangencies, rc.total + (calls[0] % 5 == 0))
+
+    monkeypatch.setattr(strata, "count_roots", flaky)
+    want = component_census(trig[2], samples=40, seed=3, constancy_checks=5)
+    assert not [r for r in caplog.records if r.name == "osculant"]
+    calls[0] = 0
+    caplog.set_level(logging.DEBUG, logger="osculant")
+    assert component_census(trig[2], samples=40, seed=3,
+                            constancy_checks=5) == want
+    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    assert msgs == [
+        "census trig_convex(2) sampling: 24 of 40 kept; "
+        "discarded PrecisionError 10, OnDiscriminantError 6",
+        "census trig_convex(2) constancy: 5 pairs certified in 13 draws; "
+        "discarded PrecisionError 5, OnDiscriminantError 3",
+    ]
+
+    # a phase that raises logs its record first
+    caplog.clear()
+
+    def refuse(*a, **k):
+        raise PrecisionError("refused")
+
+    monkeypatch.setattr(strata, "count_roots", refuse)
+    with pytest.raises(PrecisionError, match="never reached"):
+        component_census(trig[2], samples=20, seed=3)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    assert msgs == ["census trig_convex(2) sampling: 0 of 20 kept; "
+                    "discarded PrecisionError 20, OnDiscriminantError 0"]
 
 
 def test_census_with_every_draw_refused_exits_2(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from osculant import fourier, tangency
 from osculant import (
     BinaryForm,
     count_roots,
@@ -18,6 +19,7 @@ from osculant import (
 from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
                              perturbed_circle)
 from osculant.errors import DegeneracyError, PrecisionError
+from osculant.projection import project_iterated
 
 
 def _form_from_roots(roots, degree):
@@ -77,8 +79,38 @@ def test_tangency_function_is_the_determinant(trig, rational, rng):
         jets = c.jet_grid(ts, n - 1)
         rows = np.broadcast_to(v, (ts.size, 1, n + 1))
         want = np.linalg.det(np.concatenate([jets, rows], axis=1))
-        got = tangency_function(c, v).sample(ts)
+        got = tangency_function(c, v)(ts)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), c
+
+
+def test_curve_owned_scales_are_the_evaluated_maxima(trig, rational, rng):
+    child = project_iterated(trig[4], [0.7]).curve
+    for c in (trig[3], trig[4], trig[6], rational[3], rational[6], child):
+        F = tangency_function(c, rng.standard_normal(c.n + 1))
+        period = c.projective_period
+        ts = (np.arange(4096) + 1.0 / np.pi) * (period / 4096)
+        scale = tangency._scales(c, F)
+        for j in range(c.n + 1):
+            assert scale(j) == np.abs(fourier.evaluate(F.coeffs, ts, j)).max()
+
+
+def test_fixed_grids_are_sampled_once_per_curve(monkeypatch, rng):
+    # the scale grid and the hull's support grid belong to their curves:
+    # no second count and no boundary_scale rebuilds a large phase matrix
+    c = build_model("trig_convex", 4)
+    hull = c.hull
+    count_roots(c, rng.standard_normal(5))
+    rows = []
+    real = fourier.phase_matrix
+
+    def recorder(ts, K):
+        rows.append(np.size(ts))
+        return real(ts, K)
+
+    monkeypatch.setattr(fourier, "phase_matrix", recorder)
+    count_roots(c, rng.standard_normal(5))
+    hull.boundary_scale(rng.standard_normal(4))
+    assert rows and max(rows) < 256
 
 
 def test_counts_survive_a_jet_that_drops_rank():
