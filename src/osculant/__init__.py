@@ -14,8 +14,8 @@ from .curves import (ParamCurve, build_model, curve_from_spec, dual_curve,
                      nonconvex_space_curve, perturbed_circle)
 from .errors import (DegeneracyError, GeometryError, OnDiscriminantError,
                      OsculantError, PrecisionError)
-from .forms import (BinaryForm, factor_binary_form, form_to_point,
-                    point_to_form, sturm_count, trig_convex_map)
+from .forms import (BinaryForm, exact_count, factor_binary_form,
+                    form_to_point, point_to_form, sturm_count, trig_convex_map)
 from .hulls import (EllipticHull, elliptic_hull, elliptic_hull_membership,
                     hull_center)
 from .mesh import RuledSample, export, sample_discriminant
@@ -59,6 +59,7 @@ __all__ = [
     "dual_curve",
     "elliptic_hull",
     "elliptic_hull_membership",
+    "exact_count",
     "export",
     "factor_binary_form",
     "form_to_point",

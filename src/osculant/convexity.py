@@ -95,26 +95,31 @@ def _random_composition(n: int, rng) -> tuple[int, ...]:
     return tuple(int(x) for x in np.diff(np.concatenate(([0], cuts, [n]))))
 
 
-def _annihilators(curve, ts, k, tol) -> np.ndarray:
-    """Annihilators of the codimension-k osculating subspaces at every ts.
+def _jet_rows(curve, k) -> np.ndarray:
+    """(2K+1, n-k+1, n+1) coefficients of the jet of order n-k; see _annihilators."""
+    order = curve.n - k
+    scal = (1j * fourier.frequencies(curve.K)) ** np.arange(order + 1)[:, None]
+    return np.moveaxis(scal[:, None, :] * curve.coeffs, -1, 0)
 
-    Returns orthonormal rows of shape (len(ts), k, n+1), spanning what
+
+def _annihilators(ph, rows, tol) -> np.ndarray:
+    """Annihilators of the codimension-k osculating subspaces at every moment.
+
+    ph holds one phase row per moment, fourier.phase_matrix(ts, K), and
+    rows is _jet_rows(curve, k); their product is the jets.  Returns
+    orthonormal rows of shape (len(ts), k, n+1), spanning what
     osculating_subspace(curve, t, n-k).annihilator() spans, from one phase
     product and one batched SVD.  A jet row no longer than tol.rank_rel
     times the longest row of its jet, or a rank drop at tol.rank_rel,
     raises DegeneracyError.
     """
-    n, K = curve.n, curve.K
-    order = n - k
-    scal = (1j * fourier.frequencies(K)) ** np.arange(order + 1)[:, None]
-    deriv = (scal[:, None, :] * curve.coeffs).reshape(-1, 2 * K + 1)
-    ph = fourier.phase_matrix(np.atleast_1d(np.asarray(ts, float)), K)
-    jets = np.real(ph @ deriv.T).reshape(-1, order + 1, n + 1)
+    order = rows.shape[1] - 1
+    jets = np.real(ph @ rows.reshape(len(rows), -1)).reshape(-1, *rows.shape[1:])
     nrm = np.linalg.norm(jets, axis=2, keepdims=True)
-    if np.any(nrm <= tol.rank_rel * nrm.max(axis=1, keepdims=True)):
+    if (nrm <= tol.rank_rel * nrm.max(axis=1, keepdims=True)).any():
         raise DegeneracyError(f"a jet of order {order} has a vanishing row")
     _, s, vt = np.linalg.svd(jets / nrm, full_matrices=True)
-    if np.any(s[:, -1] <= tol.rank_rel * s[:, 0]):
+    if (s[:, -1] <= tol.rank_rel * s[:, 0]).any():
         raise DegeneracyError(f"a jet of order {order} drops rank")
     return vt[:, order + 1:]
 
@@ -129,7 +134,8 @@ def _sigma_grids(curve, grid, scan_sep, tol):
     """
     n, m = curve.n, len(grid)
     period = curve.projective_period
-    anns = {k: _annihilators(curve, grid, k, tol) for k in range(1, n)}
+    ph = fourier.phase_matrix(grid, curve.K)
+    anns = {k: _annihilators(ph, _jet_rows(curve, k), tol) for k in range(1, n)}
     band = projective.circular_gap(grid[:, None], grid[None, :], period) < scan_sep
     for k in range(1, n // 2 + 1):
         stacked = np.concatenate(
@@ -139,6 +145,26 @@ def _sigma_grids(curve, grid, scan_sep, tol):
         sig = np.linalg.svd(stacked, compute_uv=False)[..., -1]
         sig[band] = np.inf
         yield k, sig
+
+
+def _sigma(curve, k, scan_sep, tol):
+    """sigma(x) of (k, n-k) at moments x = (t1, t2), as _sigma_grids defines it.
+
+    Moments closer than scan_sep give 1.0.  The jet rows of both orders are
+    built once, so a call only makes the phase rows of its two moments.
+    """
+    period = curve.projective_period
+    nu = fourier.frequencies(curve.K)
+    rows1, rows2 = _jet_rows(curve, k), _jet_rows(curve, curve.n - k)
+
+    def sigma(x):
+        if projective.circular_gap(x[0], x[1], period) < scan_sep:
+            return 1.0
+        ph = np.exp(1j * np.multiply.outer(x, nu))
+        stacked = np.concatenate((_annihilators(ph[:1], rows1, tol)[0],
+                                  _annihilators(ph[1:], rows2, tol)[0]))
+        return float(np.linalg.svd(stacked, compute_uv=False)[-1])
+    return sigma
 
 
 def _intersection_dim_stable(curve, parts, moments, tol) -> int:
@@ -180,15 +206,7 @@ def _pair_scan(curve, tol):
     grid = np.arange(PAIR_SCAN_GRID) * (period / PAIR_SCAN_GRID)
     for k1, sig in _sigma_grids(curve, grid, scan_sep, tol):
         parts = (k1, n - k1)
-
-        def sigma(x):
-            if projective.circular_gap(x[0], x[1], period) < scan_sep:
-                return 1.0
-            stacked = np.concatenate(
-                (_annihilators(curve, x[:1], k1, tol)[0],
-                 _annihilators(curve, x[1:], n - k1, tol)[0]))
-            return float(np.linalg.svd(stacked, compute_uv=False)[-1])
-
+        sigma = _sigma(curve, k1, scan_sep, tol)
         trigger = 0.15 * np.median(sig[np.isfinite(sig)])
         neighborhood = np.stack([
             np.roll(np.roll(sig, di, axis=0), dj, axis=1)

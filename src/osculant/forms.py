@@ -328,6 +328,25 @@ def trig_convex_map(n: int):
     return rows
 
 
+def exact_count(curve, p) -> int | None:
+    """Exact tangency count of p on a stock curve; None without an oracle.
+
+    On rational_normal(n) this is sturm_count(point_to_form(p)), on
+    trig_convex(n) the point is first carried by trig_convex_map(n).  Float
+    coordinates are read exactly, so the count is that of the float point
+    itself.
+    """
+    n = curve.n
+    vals = [c if isinstance(c, (Fraction, int)) else Fraction(float(c))
+            for c in getattr(p, "coords", p)]
+    if curve.model == f"trig_convex({n})":
+        vals = [sum(e * c for e, c in zip(row, vals))
+                for row in trig_convex_map(n)]
+    elif curve.model != f"rational_normal({n})":
+        return None
+    return sturm_count(point_to_form(vals, n))
+
+
 # ---------------------------------------------------------------------------
 # real-rooted x positive factorization
 

@@ -161,23 +161,38 @@ def deflate(rows: np.ndarray, roots, times: int):
 
 
 class TrigPoly:
-    """A real trigonometric polynomial with exact derivatives of every order."""
+    """A real trigonometric polynomial with exact derivatives of every order.
 
-    __slots__ = ("coeffs",)
+    Frequencies and each derivative's coefficients are kept, so a call only
+    makes its phase rows; values are fourier.evaluate's bit for bit.
+    """
+
+    __slots__ = ("coeffs", "_nu", "_derivs")
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, complex)
         if coeffs.ndim != 1:
             raise ValueError("scalar coefficients must be 1-d")
         self.coeffs = hermitized(coeffs)
+        self._nu = frequencies(self.K)
+        self._derivs = {0: self.coeffs}
 
     @property
     def K(self) -> int:
         return halfspan(self.coeffs)
 
+    def deriv_coeffs(self, order: int) -> np.ndarray:
+        """coeffs * (1j*nu)**order, as fourier.evaluate scales them."""
+        c = self._derivs.get(order)
+        if c is None:
+            c = self._derivs[order] = self.coeffs * (1j * self._nu) ** order
+        return c
+
     def __call__(self, t, order: int = 0):
-        return evaluate(self.coeffs, t, order)
+        ph = np.exp(1j * np.multiply.outer(np.atleast_1d(np.asarray(t, float)),
+                                           self._nu))
+        vals = np.real(ph @ self.deriv_coeffs(order))
+        return vals[0] if np.ndim(t) == 0 else vals
 
     def deriv(self, order: int = 1) -> "TrigPoly":
-        c = self.coeffs * (1j * frequencies(self.K)) ** order
-        return TrigPoly(c)
+        return TrigPoly(self.deriv_coeffs(order))

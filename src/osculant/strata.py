@@ -22,6 +22,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError, OnDiscriminantError, PrecisionError
+from .forms import exact_count
 from .projective import (ProjPoint, normalize, osculating_intersection,
                          separated_moments)
 from .projection import project_iterated
@@ -212,9 +213,12 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
     of the histogram must be exactly {n, n-2, ..., n mod 2}; any other value
     is a hard failure, while a missing value means the sampling never reached
     that stratum.  Local constancy of the count is spot-checked on fresh
-    points nudged by 1e-5; if 10 * constancy_checks draws do not yield
-    that many certified pairs, the census raises PrecisionError.  Each
-    phase logs its draws and discards at DEBUG, also when it raises.
+    points nudged by 1e-5.  A pair whose counts differ is a straddle of the
+    discriminant, discarded and redrawn, when exact_count confirms both
+    counts; otherwise, or on a curve without an exact oracle, it raises
+    GeometryError.  If 10 * constancy_checks draws do not yield that many
+    certified pairs, the census raises PrecisionError.  Each phase logs its
+    draws and discards at DEBUG, also when it raises.
     """
     n = c.n
     rng = np.random.default_rng(seed)
@@ -263,14 +267,19 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
                 refused[type(exc)] += 1
                 continue
             if a != b:
-                raise GeometryError(
-                    f"tangency count jumped {a} -> {b} under a 1e-5 perturbation"
-                )
+                if (exact_count(c, v), exact_count(c, w)) != (a, b):
+                    raise GeometryError(
+                        f"tangency count jumped {a} -> {b} under a 1e-5 "
+                        "perturbation, unconfirmed by an exact count"
+                    )
+                refused["straddle"] += 1   # v and w lie across the discriminant
+                continue
             checked += 1
     finally:
         _log.debug("census %s constancy: %d pairs certified in %d draws; discarded "
-                   "PrecisionError %d, OnDiscriminantError %d", c.model, checked,
-                   draws, refused[PrecisionError], refused[OnDiscriminantError])
+                   "PrecisionError %d, OnDiscriminantError %d, straddle %d",
+                   c.model, checked, draws, refused[PrecisionError],
+                   refused[OnDiscriminantError], refused["straddle"])
     return {
         "n": n,
         "samples": samples,

@@ -122,9 +122,8 @@ def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
 
 def _scales(curve, F: fourier.TrigPoly):
     """j -> max |F^(j)| on the curve's scale grid, by fourier.evaluate's product."""
-    ph, c, nu = curve.scale_phases, F.coeffs, 1j * fourier.frequencies(F.K)
-    return functools.cache(
-        lambda j: np.abs(np.real(ph @ (c * nu ** j if j else c))).max())
+    ph = curve.scale_phases
+    return functools.cache(lambda j: np.abs(np.real(ph @ F.deriv_coeffs(j))).max())
 
 
 def _newton_polish(G, t0: float, window: float):

@@ -19,14 +19,13 @@ from osculant import (
     count_roots,
     elliptic_hull,
     elliptic_hull_membership,
+    exact_count,
     factor_binary_form,
     hull_center,
-    point_to_form,
     project_iterated,
     project_onto_osculating_hyperplane,
     sturm_count,
     transport,
-    trig_convex_map,
 )
 from osculant.curves import dual_curve, nonconvex_space_curve
 from osculant.errors import OsculantError, PrecisionError
@@ -80,15 +79,14 @@ def test_projection_count_recursion(trig, verdict):
 def test_exact_oracle_agreement(trig, rational, verdict):
     """Numerical tangency count equals the exact real-root count of forms.
 
-    A trig_convex point p is read through trig_convex_map, which carries its
-    osculating flags onto those of rational_normal.
+    exact_count reads a trig_convex point through trig_convex_map, which
+    carries its osculating flags onto those of rational_normal.
     """
     rng = np.random.default_rng(13)
     ok = True
     details = []
     for family, curves in (("rational", rational), ("trig", trig)):
         for n in range(2, 7):
-            E = trig_convex_map(n) if family == "trig" else None
             mismatches = 0
             retries = 0
             done = 0
@@ -98,9 +96,6 @@ def test_exact_oracle_agreement(trig, rational, verdict):
                           for _ in range(n + 1)]
                 if not any(coords):
                     continue
-                image = coords if E is None else [
-                    sum(e * c for e, c in zip(row, coords)) for row in E]
-                f = point_to_form(image, n)
                 try:
                     got = count_roots(curves[n],
                                       [float(c) for c in coords]).total
@@ -110,7 +105,7 @@ def test_exact_oracle_agreement(trig, rational, verdict):
                         break
                     continue
                 done += 1
-                if got != sturm_count(f):
+                if got != exact_count(curves[n], coords):
                     mismatches += 1
             good = done == 200 and mismatches == 0
             ok = ok and good

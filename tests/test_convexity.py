@@ -11,9 +11,11 @@ from osculant import (
     check_convex_criterion,
     check_convex_sampling,
     count_roots,
+    fourier,
 )
 from osculant.config import DEFAULT
-from osculant.convexity import _annihilators, _pair_scan, _sigma_grids
+from osculant.convexity import (_annihilators, _jet_rows, _pair_scan, _sigma,
+                                _sigma_grids)
 from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
                              perturbed_circle)
 from osculant.errors import DegeneracyError
@@ -24,6 +26,20 @@ ASTROID = [[1], [0, .75, 0, 0, 0, .25, 0], [0, 0, .75, 0, 0, 0, -.25]]
 
 def _grid(c):
     return np.arange(96) * (c.projective_period / 96)
+
+
+def _anns(c, ts, k):
+    """Codimension-k annihilators at ts, each moment's phase row made alone."""
+    return _annihilators(fourier.phase_matrix(ts, c.K), _jet_rows(c, k), DEFAULT)
+
+
+CERTIFY_CURVES = (
+    lambda: build_model("trig_convex", 4),
+    lambda: build_model("rational_normal", 3),
+    lambda: dual_curve(build_model("rational_normal", 4)),
+    nonconvex_space_curve,
+    lambda: perturbed_circle(0.3),
+)
 
 
 def test_stock_models_pass_sampling(trig, rational):
@@ -54,7 +70,7 @@ def test_batched_annihilators_span_the_osculating_annihilators(trig, rational):
         for c in (trig[n], rational[n]):
             grid = _grid(c)
             for k in range(1, n + 1):
-                batch = _annihilators(c, grid, k, DEFAULT)
+                batch = _anns(c, grid, k)
                 assert batch.shape == (96, k, n + 1)
                 for t, ann in zip(grid, batch):
                     ref = osculating_subspace(c, t, n - k).annihilator()
@@ -104,6 +120,27 @@ def test_mirrored_sigma_grid_is_the_transpose(trig, rational):
             assert np.abs(sig.T[finite] - mirror[finite]).max() < 1e-12
 
 
+def test_sigma_is_the_per_moment_annihilator_svd():
+    # sigma builds its jet rows once and one phase product for both
+    # moments; each value must equal the per-moment computation bit for bit
+    for make in CERTIFY_CURVES:
+        c = make()
+        n, period = c.n, c.projective_period
+        sep = 0.05 * period
+        rng = np.random.default_rng(17)
+        for k in range(1, n):
+            sigma = _sigma(c, k, sep, DEFAULT)
+            for t1, t2 in rng.uniform(0.0, period, (500, 2)):
+                d = abs(t1 - t2) % period
+                if min(d, period - d) < sep:
+                    want = 1.0
+                else:
+                    stacked = np.concatenate((_anns(c, [t1], k)[0],
+                                              _anns(c, [t2], n - k)[0]))
+                    want = float(np.linalg.svd(stacked, compute_uv=False)[-1])
+                assert sigma(np.array([t1, t2])) == want, (c.model, k, t1, t2)
+
+
 def test_pair_scan_control_witnesses_are_pinned():
     w = _pair_scan(nonconvex_space_curve(), DEFAULT)
     assert (w["composition"], w["moments"], w["dim"]) == \
@@ -116,13 +153,17 @@ def test_pair_scan_control_witnesses_are_pinned():
 def test_cusp_on_the_scan_grid_is_a_degeneracy():
     astroid = build_model("fourier", 2, ASTROID)
     with pytest.raises(DegeneracyError):
-        _annihilators(astroid, _grid(astroid), 1, DEFAULT)
+        _anns(astroid, _grid(astroid), 1)
     with pytest.raises(DegeneracyError):
         check_convex_criterion(astroid, samples=10, rng=0)
     # the velocity at these cusps evaluates to about 1e-16, not to 0
+    sigma = _sigma(astroid, 1, 0.05 * astroid.projective_period, DEFAULT)
     for t in (np.pi / 2, np.pi, 3 * np.pi / 2):
         with pytest.raises(DegeneracyError):
-            _annihilators(astroid, np.array([t]), 1, DEFAULT)
+            _anns(astroid, np.array([t]), 1)
+        for x in ((t, t + 1.0), (t + 1.0, t)):
+            with pytest.raises(DegeneracyError):
+                sigma(np.array(x))
 
 
 def test_pair_scan_logs_one_record_per_composition(trig, caplog):
@@ -152,14 +193,15 @@ def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
 
 def test_pair_scan_refines_only_local_minima(rational, caplog):
     # (1, 3) and (2, 2) each have 4 local minima under the trigger; the
-    # scan must stop there rather than walk on through non-minimum cells
+    # scan must stop there rather than walk on through non-minimum cells.
+    # The evaluation counts pin every Nelder-Mead trajectory as well
     caplog.set_level(logging.DEBUG, logger="osculant")
     assert _pair_scan(dual_curve(rational[4]), DEFAULT) is None
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
     counts = [tuple(map(int, re.search(
-        r"(\d+) candidates refined, (\d+) mirror candidates skipped",
-        m).groups())) for m in msgs]
-    assert counts == [(4, 0), (3, 1)]
+        r"(\d+) candidates refined, (\d+) mirror candidates skipped, "
+        r"(\d+) evaluations", m).groups())) for m in msgs]
+    assert counts == [(4, 0, 1590), (3, 1, 1064)]
 
 
 def test_perturbed_circle_fails_sampling():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from osculant import count_roots
+from osculant.curves import dual_curve, nonconvex_space_curve
 from osculant.errors import PrecisionError
-from osculant.forms import (BinaryForm, factor_binary_form, form_to_point,
-                            point_to_form, sturm_count)
+from osculant.forms import (BinaryForm, exact_count, factor_binary_form,
+                            form_to_point, point_to_form, sturm_count)
 
 
 def poly_mul(a, b):
@@ -110,3 +112,13 @@ def _binom(n, k):
 def test_degree_and_nonzero_validation():
     with pytest.raises(ValueError):
         BinaryForm((Fraction(0), Fraction(0)))
+
+
+def test_exact_count_covers_the_stock_families(trig, rational):
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 4):
+        for c in (trig[n], rational[n]):
+            for p in rng.standard_normal((5, n + 1)):
+                assert exact_count(c, p) == count_roots(c, p).total
+    assert exact_count(nonconvex_space_curve(), [1.0, 0.0, 0.0, 0.0]) is None
+    assert exact_count(dual_curve(rational[3]), [1.0, 0.0, 0.0, 0.0]) is None

@@ -237,7 +237,7 @@ def test_census_logs_one_record_per_phase(monkeypatch, trig, caplog):
         "census trig_convex(2) sampling: 24 of 40 kept; "
         "discarded PrecisionError 10, OnDiscriminantError 6",
         "census trig_convex(2) constancy: 5 pairs certified in 13 draws; "
-        "discarded PrecisionError 5, OnDiscriminantError 3",
+        "discarded PrecisionError 5, OnDiscriminantError 3, straddle 0",
     ]
 
     # a phase that raises logs its record first
@@ -252,6 +252,25 @@ def test_census_logs_one_record_per_phase(monkeypatch, trig, caplog):
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
     assert msgs == ["census trig_convex(2) sampling: 0 of 20 kept; "
                     "discarded PrecisionError 20, OnDiscriminantError 0"]
+
+
+def test_census_discards_a_confirmed_straddle(monkeypatch, trig, caplog):
+    # the 48th constancy pair of this census lies across the discriminant:
+    # count 1 at v, 3 at w, and the exact oracle agrees with both
+    import osculant.strata as strata
+
+    caplog.set_level(logging.DEBUG, logger="osculant")
+    out = component_census(trig[3], samples=2000, seed=0)
+    assert out["histogram"] == {"3": 419, "1": 1581}
+    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    assert msgs[-1] == ("census trig_convex(3) constancy: 100 pairs certified "
+                        "in 101 draws; discarded PrecisionError 0, "
+                        "OnDiscriminantError 0, straddle 1")
+
+    # an oracle that sees no jump leaves the straddle unconfirmed
+    monkeypatch.setattr(strata, "exact_count", lambda c, p: 1)
+    with pytest.raises(GeometryError, match="jumped 1 -> 3"):
+        component_census(trig[3], samples=2000, seed=0)
 
 
 def test_census_with_every_draw_refused_exits_2(monkeypatch):

@@ -94,6 +94,23 @@ def test_curve_owned_scales_are_the_evaluated_maxima(trig, rational, rng):
             assert scale(j) == np.abs(fourier.evaluate(F.coeffs, ts, j)).max()
 
 
+def test_scalar_path_is_fourier_evaluate(trig, rational, rng):
+    # TrigPoly keeps its frequencies and derivative coefficients; a value
+    # must still be fourier.evaluate's, bit for bit, scalar or array
+    for n in range(2, 7):
+        for c in (trig[n], rational[n]):
+            F = tangency_function(c, rng.standard_normal(n + 1))
+            nu = fourier.frequencies(F.K)
+            ts = rng.uniform(0.0, c.projective_period, 6)
+            for j in range(n + 2):
+                for t in ts:
+                    assert F(t, order=j) == fourier.evaluate(F.coeffs, t, j)
+                assert np.array_equal(F(ts, order=j),
+                                      fourier.evaluate(F.coeffs, ts, j))
+                want = fourier.TrigPoly(F.coeffs * (1j * nu) ** j)
+                assert np.array_equal(F.deriv(j).coeffs, want.coeffs)
+
+
 def test_fixed_grids_are_sampled_once_per_curve(monkeypatch, rng):
     # the scale grid and the hull's support grid belong to their curves:
     # no second count and no boundary_scale rebuilds a large phase matrix
