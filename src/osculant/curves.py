@@ -97,6 +97,24 @@ class ParamCurve:
         return out
 
     @cached_property
+    def dual_fold(self) -> tuple:
+        """(s, j0) with s = 4*pi/period: dual_coeffs live on columns j0 (mod s).
+
+        Every F_p lifted to the projective period is then +/- itself, and its
+        degree-2K polynomial in u = exp(i t/2) is u^j0 times a polynomial in
+        u^s.  Columns below 1e-12 of the largest count as empty; a spectrum
+        that mixes residue classes raises DegeneracyError.
+        """
+        ks = _support(self.dual_coeffs)
+        s = round(4.0 * np.pi / self._period)
+        if ks.size == 0:
+            return s, 0
+        # one class k0 (mod s), and it is its own conjugate class -k0
+        if np.any((ks - ks[0]) % s) or 2 * ks[0] % s:
+            raise DegeneracyError("tangency function is not (anti)periodic over the stated period")
+        return s, int(ks[0] + fourier.halfspan(self.dual_coeffs)) % s
+
+    @cached_property
     def scale_phases(self) -> np.ndarray:
         """Phases of the dual span on the offset grid behind every F_p scale."""
         ts = (np.arange(4096) + 1.0 / np.pi) * (self._period / 4096)
@@ -120,10 +138,14 @@ class ParamCurve:
         return f"ParamCurve(n={self.n}, K={self.K}, model={self.model!r})"
 
 
-def _projective_period(coeffs: np.ndarray) -> float:
-    K = fourier.halfspan(coeffs)
+def _support(coeffs: np.ndarray) -> np.ndarray:
+    """Frequencies k of exp(1j*k*t/2) whose column tops 1e-12 of the largest."""
     col = np.abs(coeffs).max(axis=0)
-    ks = np.nonzero(col > 1e-12 * col.max())[0] - K
+    return np.nonzero(col > 1e-12 * col.max())[0] - fourier.halfspan(coeffs)
+
+
+def _projective_period(coeffs: np.ndarray) -> float:
+    ks = _support(coeffs)
     if np.all(ks % 2 == 0):
         half = ks // 2  # integer frequencies
         if half.size and np.all(half % 2 == half[0] % 2):

@@ -56,7 +56,11 @@ def trimmed(coeffs: np.ndarray, rel: float = 1e-13) -> np.ndarray:
 
 
 def phase_matrix(ts: np.ndarray, K: int) -> np.ndarray:
-    return np.exp(1j * np.multiply.outer(np.asarray(ts, float), frequencies(K)))
+    """exp(1j * outer(ts, nu)), with no temporaries of the grid's size."""
+    ts = np.asarray(ts, float)
+    out = np.zeros(ts.shape + (2 * K + 1,), complex)
+    np.multiply.outer(ts, frequencies(K), out=out.imag)
+    return np.exp(out, out=out)
 
 
 def evaluate(coeffs: np.ndarray, ts, order: int = 0) -> np.ndarray:

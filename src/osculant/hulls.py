@@ -57,11 +57,6 @@ class EllipticHull:
     reference: np.ndarray
     support: np.ndarray
 
-    @property
-    def half_spaces(self) -> list:
-        """Sampled supporting half-spaces as (raw dual covector, side sign)."""
-        return [(s * a, float(s)) for a, s in zip(self.covectors, self.signs)]
-
     def to_chart(self, p) -> np.ndarray:
         """Affine chart coordinates of a homogeneous point."""
         v = np.asarray(getattr(p, "coords", p), float)

@@ -7,11 +7,14 @@ along p gives F_p = (-1)^n <gamma*(t), p> with gamma* the osculating-hyperplane
 covector, whose trig-polynomial coefficients each curve computes once, so F_p
 and every derivative of it are available in closed form.
 
-With u = exp(i t / 2), F_p is u^(-K) times a degree-2K polynomial in u, so
-its zeros are the unit-circle eigenvalues of a companion matrix, folded onto
-one period.  They are kept where |F_p| is below the zero threshold, merged
-within a tolerance, then polished and assigned multiplicities by a derivative
-scan; order_of_tangency reads the same order off the osculating flag.
+With u = exp(i t / 2), F_p is u^(-K) times a degree-2K polynomial in u.
+Its spectrum lies on one residue class mod s = 4 pi / period (the curve's
+dual_fold), so that polynomial is u^j0 Q(u^s), and each zero on one period
+is one unit-circle eigenvalue of Q's companion matrix.  The zeros are kept
+where |F_p| is below the zero threshold, merged within a tolerance, then
+polished and assigned multiplicities by a derivative scan, which tries
+order m only where at least m eigenvalues crowd the zero; order_of_tangency
+reads the same order off the osculating flag.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import fourier
 from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError, PrecisionError
-from .projective import (circular_clusters, fold, merge_moments,
+from .projective import (circular_clusters, circular_gap, fold, merge_moments,
                          osculating_subspace)
 
 
@@ -76,21 +79,6 @@ def order_of_tangency(curve, p, tau: float, tol: Tolerances = DEFAULT) -> int:
     raise ValueError("point is not on the osculating hyperplane at tau")
 
 
-def _continuation_sign(F: fourier.TrigPoly, period: float) -> float:
-    """eta with F(t + period) = eta * F(t); +/-1 for consistent spectra."""
-    c = F.coeffs
-    K = fourier.halfspan(c)
-    mags = np.abs(c)
-    ks = np.nonzero(mags > 1e-12 * mags.max())[0] - K
-    if ks.size == 0:
-        return 1.0
-    phases = np.exp(0.5j * ks * period)
-    eta = np.sign(phases[0].real)
-    if np.abs(phases - eta).max() > 1e-8:
-        raise DegeneracyError("tangency function is not (anti)periodic over the stated period")
-    return float(eta)
-
-
 _UNIT_BAND = 1e-2       # ||u| - 1| of root candidates; high-order zeros split off the circle
 
 
@@ -100,18 +88,19 @@ def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
     A zero whose order cannot be certified raises PrecisionError.
     """
     n = curve.n
+    s, j0 = curve.dual_fold
     F = tangency_function(curve, p)
     period = curve.projective_period
-    _continuation_sign(F, period)  # folding onto one period needs (anti)periodicity
     scale = _scales(curve, F)
     if scale(0) == 0.0 or not np.isfinite(scale(0)):
         raise DegeneracyError("tangency function vanished identically")
     zero_thr = tol.zero_rel * scale(0)
-    u = np.roots(F.coeffs[::-1])
-    u = u[np.abs(np.abs(u) - 1.0) <= _UNIT_BAND]
-    cands = (2.0 * np.angle(u)) % period
+    # u^K F = u^j0 Q(u^s): one eigenvalue w = u^s per zero on the period
+    w = np.roots(F.coeffs[j0::s][::-1])
+    w = w[np.abs(np.abs(w) ** (1.0 / s) - 1.0) <= _UNIT_BAND]
+    cands = np.array([fold(a, period) for a in (2.0 / s) * np.angle(w)])
     roots = cands[np.abs(F(cands)) <= zero_thr]
-    sites = sorted(_assign_order(F, tau, scale, zero_thr, n, period, tol)
+    sites = sorted(_assign_order(F, tau, cands, scale, zero_thr, n, period, tol)
                    for tau, _size in merge_moments(roots, period, tol))
     # polished locations of one zero found twice coincide: keep the first
     # site of each group (across the seam, the one at or above 0)
@@ -142,7 +131,7 @@ def _newton_polish(G, t0: float, window: float):
     return t
 
 
-def _assign_order(F, tau, scale, zero_thr, n, period, tol):
+def _assign_order(F, tau, cands, scale, zero_thr, n, period, tol):
     """Order of tau as a zero of F, relocating tau for high orders.
 
     A zero of order m is pinned down by values of F alone only to about
@@ -152,6 +141,12 @@ def _assign_order(F, tau, scale, zero_thr, n, period, tol):
     whose rescan at the polished point is internally consistent wins.  The
     polish window scales with the intrinsic location uncertainty, so a
     hypothesis cannot swallow a genuinely distinct neighbouring zero.
+
+    An order-m zero splits into m eigenvalues around it, and the polish
+    reaches only a zero within the window of tau; so hypothesis m is tried
+    only when at least m candidates (cands, the unit-band moments) lie
+    within twice its window of tau.  A simple zero that no other candidate
+    crowds is never polished.
     """
     eps = np.finfo(float).eps
     fact = 1.0
@@ -161,8 +156,11 @@ def _assign_order(F, tau, scale, zero_thr, n, period, tol):
         s_m = max(scale(m), eps * scale(0))
         deltas[m] = (eps * scale(0) * fact / s_m) ** (1.0 / m)
 
+    gaps = np.sort(circular_gap(cands, tau, period))
     for m in range(n, 1, -1):
         window = 10.0 * deltas[m] + 1e-12
+        if gaps.size < m or gaps[m - 1] > 2.0 * window:
+            continue
         t2 = _newton_polish(F.deriv(m - 1), tau, window)
         if t2 is None:
             continue

@@ -54,9 +54,9 @@ def test_half_spaces_contain_the_curve(trig):
     hull = elliptic_hull(c)
     ts = np.linspace(0, 2 * np.pi, 160, endpoint=False)
     pts = np.stack([c.point(t) for t in ts])
-    for a, s in hull.half_spaces[::16]:
+    for a, s in zip(hull.covectors[::16], hull.signs[::16]):
         assert s in (-1.0, 1.0)
-        vals = pts @ np.asarray(a)
+        vals = pts @ (s * a)
         assert vals.min() > -1e-9 * np.abs(vals).max()
 
 

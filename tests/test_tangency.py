@@ -16,10 +16,11 @@ from osculant import (
     sturm_count,
     tangency_function,
 )
-from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
-                             perturbed_circle)
+from osculant.curves import (ParamCurve, build_model, dual_curve,
+                             nonconvex_space_curve, perturbed_circle)
 from osculant.errors import DegeneracyError, PrecisionError
 from osculant.projection import project_iterated
+from osculant.strata import _census_point
 
 
 def _form_from_roots(roots, degree):
@@ -130,10 +131,75 @@ def test_fixed_grids_are_sampled_once_per_curve(monkeypatch, rng):
     assert rows and max(rows) < 256
 
 
+# count_roots totals on 100 census draws per curve, default_rng(7) per curve;
+# every site in these draws is a simple zero
+_PINNED_CENSUS_TOTALS = {
+    "rational_normal:3": "11333331313331131313131111311111113133111313313311"
+        "33313313313111131131131113111111313131111133313331",
+    "rational_normal:5": "31153133111313111355131513111155111331311111331113"
+        "53333513333113115333153311111351135331353111355355",
+    "rational_normal:6": "44244424222062640224462644024624220042242226226022"
+        "44224422004240202062022622024426024424642242442004",
+    "trig_convex:3": "11311131311131131133111111111111111311111133111111"
+        "11113313313111111131111113111111311131311131111331",
+    "trig_convex:4": "20002402204202202442022042220222220000040022042222"
+        "24000224002222002222002442002202224000222042222204",
+    "trig_convex:6": "22024022022262642402022622024222220220022426426022"
+        "22222222022220220022020622242226222222622222224202",
+}
+
+
+def test_census_draw_counts_are_pinned():
+    for name, want in _PINNED_CENSUS_TOTALS.items():
+        model, n = name.split(":")
+        c = build_model(model, int(n))
+        rng = np.random.default_rng(7)
+        got = []
+        for _ in range(len(want)):
+            rc = count_roots(c, _census_point(c, rng))
+            assert [m for _, m in rc.tangencies] == [1] * rc.total, name
+            got.append(str(rc.total))
+        assert "".join(got) == want, name
+
+
+def _astroid():
+    return build_model("fourier", 2, [[1], [0, .75, 0, 0, 0, .25, 0],
+                                      [0, 0, .75, 0, 0, 0, -.25]])
+
+
+def test_dual_spectrum_folds_onto_one_residue_class(trig, rational):
+    # F_p's polynomial in u = exp(i t/2) is u^j0 Q(u^s) with s = 4 pi / period
+    curves = [*trig.values(), *rational.values(),
+              dual_curve(rational[4]), project_iterated(trig[5], [0.7]).curve,
+              perturbed_circle(0.3), nonconvex_space_curve(), _astroid()]
+    for c in curves:
+        s, j0 = c.dual_fold
+        assert s * c.projective_period == pytest.approx(4.0 * np.pi), c
+        assert 0 <= j0 < s, c
+        col = np.abs(c.dual_coeffs).max(axis=0)
+        off = (np.arange(col.size) - j0) % s != 0
+        assert col[~off].max() == col.max(), c
+        assert col[off].max(initial=0.0) <= 1e-12 * col.max(), c
+
+
+def test_mixed_residue_classes_are_a_degeneracy():
+    # rows 1, cos(t/2), sin t: the dual mixes odd and even k over period 2 pi
+    K = 2
+    one, half_cos, sin1 = (np.zeros(2 * K + 1, complex) for _ in range(3))
+    one[K] = 1.0
+    half_cos[K - 1] = half_cos[K + 1] = 0.5
+    sin1[K + 2], sin1[K - 2] = -0.5j, 0.5j
+    c = ParamCurve(np.vstack([one, half_cos, sin1]))
+    with pytest.raises(DegeneracyError, match="anti"):
+        count_roots(c, (1.0, 0.3, 0.2))
+    # an empty spectrum has no class to mix: F_p vanishes identically
+    with pytest.raises(DegeneracyError, match="identically"):
+        count_roots(ParamCurve(np.ones((3, 1))), (1.0, 0.3, 0.2))
+
+
 def test_counts_survive_a_jet_that_drops_rank():
     # the astroid has cusps: no dual curve, but F_p is still a trig polynomial
-    astroid = build_model("fourier", 2, [[1], [0, .75, 0, 0, 0, .25, 0],
-                                         [0, 0, .75, 0, 0, 0, -.25]])
+    astroid = _astroid()
     assert count_roots(astroid, (1.0, 0.1, 0.05)).total == 8
     assert count_roots(astroid, (1.0, 2.0, 0.3)).total == 6
     with pytest.raises(DegeneracyError):
@@ -220,8 +286,7 @@ def test_flag_points_report_their_order(trig, rational, rng):
 def test_order_of_tangency_refuses_a_cusp():
     # the astroid's velocity vanishes at t = 0 and evaluates to about 1e-16
     # at t = pi/2, so neither moment has an osculating flag to read
-    astroid = build_model("fourier", 2, [[1], [0, .75, 0, 0, 0, .25, 0],
-                                         [0, 0, .75, 0, 0, 0, -.25]])
+    astroid = _astroid()
     for t in (0.0, np.pi / 2):
         jet = astroid.jet(t, 2)
         with pytest.raises(DegeneracyError):
