@@ -199,14 +199,29 @@ def _cmd_transport(ns) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+# each command and the arguments it reads besides --curve and the tolerances
 _COMMANDS = {
-    "check-convex": _cmd_check_convex,
-    "roots": _cmd_roots,
-    "project": _cmd_project,
-    "components": _cmd_components,
-    "hull": _cmd_hull,
-    "mesh": _cmd_mesh,
-    "transport": _cmd_transport,
+    "check-convex": (_cmd_check_convex, ("--seed", "--trials", "--samples")),
+    "roots": (_cmd_roots, ("point",)),
+    "project": (_cmd_project, ("--seed", "--trials", "moments")),
+    "components": (_cmd_components, ("--seed", "--samples")),
+    "hull": (_cmd_hull, ("--seed",)),
+    "mesh": (_cmd_mesh, ("--t-steps", "--ruling-steps", "--format", "--out")),
+    "transport": (_cmd_transport, ("point", "curve2")),
+}
+_ARGUMENTS = {
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=1000),
+    "--samples": dict(type=int, default=2000),
+    "--t-steps": dict(type=int, default=96),
+    "--ruling-steps": dict(type=int, default=24),
+    "--format": dict(default="csv", choices=("obj", "csv", "json")),
+    "--out": {},
+    "--tol-rank": dict(type=float),
+    "--tol-zero": dict(type=float),
+    "point": dict(help="comma-separated homogeneous coordinates"),
+    "moments": dict(nargs="+", type=float),
+    "curve2": dict(help="target curve spec or shorthand"),
 }
 
 
@@ -215,35 +230,12 @@ def _build_parser() -> _Parser:
                 description="tangency counting and stratification toolkit")
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_Parser)
-
-    def common(sp):
+    for name, (_, args) in _COMMANDS.items():
+        sp = sub.add_parser(name)
         sp.add_argument("--curve", required=True,
                         help="curve spec JSON path, or model:n shorthand")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=1000)
-        sp.add_argument("--samples", type=int, default=2000)
-        sp.add_argument("--t-steps", type=int, default=96)
-        sp.add_argument("--ruling-steps", type=int, default=24)
-        sp.add_argument("--format", default="csv",
-                        choices=("obj", "csv", "json"))
-        sp.add_argument("--out")
-        sp.add_argument("--tol-rank", type=float)
-        sp.add_argument("--tol-zero", type=float)
-
-    common(sub.add_parser("check-convex"))
-    sp = sub.add_parser("roots")
-    common(sp)
-    sp.add_argument("point", help="comma-separated homogeneous coordinates")
-    sp = sub.add_parser("project")
-    common(sp)
-    sp.add_argument("moments", nargs="+", type=float)
-    common(sub.add_parser("components"))
-    common(sub.add_parser("hull"))
-    common(sub.add_parser("mesh"))
-    sp = sub.add_parser("transport")
-    common(sp)
-    sp.add_argument("point", help="comma-separated homogeneous coordinates")
-    sp.add_argument("curve2", help="target curve spec or shorthand")
+        for arg in args + ("--tol-rank", "--tol-zero"):
+            sp.add_argument(arg, **_ARGUMENTS[arg])
     return p
 
 
@@ -262,7 +254,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     ns.tol = _tolerances(ns)
     try:
-        return _COMMANDS[ns.command](ns)
+        return _COMMANDS[ns.command][0](ns)
     except (PrecisionError, OnDiscriminantError) as e:
         print(f"precision: {e}", file=sys.stderr)
         return EXIT_PRECISION

@@ -97,9 +97,7 @@ def _random_composition(n: int, rng) -> tuple[int, ...]:
 
 def _jet_rows(curve, k) -> np.ndarray:
     """(2K+1, n-k+1, n+1) coefficients of the jet of order n-k; see _annihilators."""
-    order = curve.n - k
-    scal = (1j * fourier.frequencies(curve.K)) ** np.arange(order + 1)[:, None]
-    return np.moveaxis(scal[:, None, :] * curve.coeffs, -1, 0)
+    return np.moveaxis(curve.jet_coeffs(curve.n - k), -1, 0)
 
 
 def _annihilators(ph, rows, tol) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Closed curve models in P^n with trigonometric-polynomial coordinates.
 
 Every model (and everything derived from one: duals, projections) is a finite
-trigonometric polynomial, so jets of any order are available in closed form
-and root counting never needs numerical differentiation.
+trigonometric polynomial, so jets of any order are read in closed form
+from derivative coefficients that each curve keeps, and root counting never
+needs numerical differentiation.
 
 Models
 ------
@@ -30,8 +31,8 @@ class ParamCurve:
 
     coeffs[i, K+k] is the coefficient of exp(1j*(k/2)*t) in coordinate i.
     Instances are immutable, and they own their derived data: the projective
-    period, the dual coefficients, the phases of the scale grid, the dual
-    curve and the elliptic hull are each computed at most once per curve.
+    period, the derivative and dual coefficients, the phases of the scale
+    grid, the dual curve and the elliptic hull are each computed at most once.
     """
 
     def __init__(self, coeffs, model: str = "fourier"):
@@ -60,19 +61,36 @@ class ParamCurve:
         """pi when gamma(t + pi) = +/- gamma(t), else 2*pi."""
         return self._period
 
-    def point(self, t: float) -> np.ndarray:
-        return fourier.evaluate(self.coeffs, float(t))
+    def point(self, t) -> np.ndarray:
+        """gamma(t); an array of moments gives one row per moment."""
+        return fourier.evaluate(self.coeffs, t)
+
+    def jet_coeffs(self, order: int) -> np.ndarray:
+        """Rows j = 0..order of (1j*nu)**j * coeffs, shape (order+1, n+1, 2K+1)."""
+        if not 0 <= order <= self.n:
+            raise ValueError(f"jet order must lie in 0..{self.n}")
+        return self._jet_coeffs[: order + 1]
 
     def jet(self, t: float, order: int) -> np.ndarray:
-        return fourier.jet_at(self.coeffs, t, order)
+        """Derivatives 0..order at one moment, shape (order+1, n+1)."""
+        ph = fourier.phase_matrix([float(t)], self.K)[0]
+        return np.real(np.einsum("ork,k->or", self.jet_coeffs(order), ph))
 
     def jet_grid(self, ts: np.ndarray, order: int) -> np.ndarray:
-        """Stacked jets on a grid, shape (len(ts), order+1, n+1)."""
-        ts = np.asarray(ts, float)
-        return np.stack(
-            [fourier.evaluate(self.coeffs, ts, order=j) for j in range(order + 1)],
-            axis=1,
-        )
+        """Stacked jets on a grid, shape (len(ts), order+1, n+1).
+
+        One product per order keeps fourier.evaluate's bits, which dual_coeffs
+        reads; one product for all orders, or jet's einsum, rounds otherwise.
+        """
+        ph = fourier.phase_matrix(ts, self.K)
+        return np.stack([np.real(ph @ r.T) for r in self.jet_coeffs(order)], axis=1)
+
+    @cached_property
+    def _jet_coeffs(self) -> np.ndarray:
+        scal = (1j * fourier.frequencies(self.K)) ** np.arange(self.n + 1)[:, None]
+        out = scal[:, None, :] * self.coeffs
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def dual_coeffs(self) -> np.ndarray:

@@ -78,16 +78,6 @@ def evaluate(coeffs: np.ndarray, ts, order: int = 0) -> np.ndarray:
     return vals
 
 
-def jet_at(coeffs: np.ndarray, t: float, order: int) -> np.ndarray:
-    """Stack of derivatives 0..order at a single parameter, shape (order+1, rows)."""
-    K = halfspan(coeffs)
-    nu = frequencies(K)
-    ph = np.exp(1j * nu * float(t))
-    scal = (1j * nu) ** np.arange(order + 1)[:, None]      # (order+1, 2K+1)
-    c2 = coeffs if coeffs.ndim == 2 else coeffs[None, :]
-    return np.real(np.einsum("ok,rk,k->or", scal, c2, ph))
-
-
 def sample_grid(M: int) -> np.ndarray:
     """Uniform construction grid over the full 4*pi cycle of the half-frequency lift."""
     return 4.0 * np.pi * np.arange(M) / M

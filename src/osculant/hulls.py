@@ -108,7 +108,7 @@ class EllipticHull:
 def _orientation_reference(curve: ParamCurve) -> np.ndarray:
     """Curve samples used to orient covectors toward the curve side."""
     ts = np.arange(128) * (curve.projective_period / 128)
-    return curve.jet_grid(ts, 0)[:, 0, :]
+    return curve.point(ts)
 
 
 def _oriented_covectors(dual: ParamCurve, ts: np.ndarray,
@@ -189,8 +189,7 @@ def elliptic_hull(curve: ParamCurve) -> EllipticHull:
 
 
 def elliptic_hull_membership(curve: ParamCurve, p,
-                             tol: Tolerances = DEFAULT,
-                             hull: EllipticHull | None = None) -> bool:
+                             tol: Tolerances = DEFAULT) -> bool:
     """Whether p has no tangent hyperplane (even n) or exactly one (odd n).
 
     The even case is cross-checked against the supporting half-space test;
@@ -202,15 +201,13 @@ def elliptic_hull_membership(curve: ParamCurve, p,
     if n % 2 == 1:
         return total == 1
     member = total == 0
-    if hull is None:
-        hull = curve.hull
     v = np.asarray(getattr(p, "coords", p), float)
-    denom = float(hull.chart @ v)
+    denom = float(curve.hull.chart @ v)
     if abs(denom) < 1e-12 * np.linalg.norm(v):
         if member:
             raise PrecisionError("hull member claimed on the chart at infinity")
         return False
-    s = hull.covectors @ (v / denom)
+    s = curve.hull.covectors @ (v / denom)
     margin = 1e-7 * np.abs(s).max()
     side = bool(s.min() > margin)
     if member != side and (s.min() > margin or s.min() < -margin):

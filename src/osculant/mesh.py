@@ -58,7 +58,7 @@ def _chart_covector(curve: ParamCurve) -> np.ndarray:
         except GeometryError:
             pass
     ts = np.arange(256) * (curve.projective_period / 256)
-    pts = curve.jet_grid(ts, 0)[:, 0, :]
+    pts = curve.point(ts)
     unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     _, _, vt = np.linalg.svd(unit)
     w = vt[0]
@@ -87,7 +87,7 @@ def sample_discriminant(c: ParamCurve, t_steps: int, ruling_steps: int,
     period = c.projective_period
     w = _chart_covector(c)
     ts = np.arange(t_steps) * (period / t_steps)
-    pts = c.jet_grid(ts, 0)[:, 0, :]
+    pts = c.point(ts)
     unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     pair = unit @ w
     # bounding radius of the visible part of the curve; samples crossing

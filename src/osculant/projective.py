@@ -136,14 +136,6 @@ def _row_space(mat: np.ndarray, rank_rel: float) -> np.ndarray:
     return vt[:rank]
 
 
-def rank_at(mat: np.ndarray, rank_rel: float) -> int:
-    mat = np.atleast_2d(np.asarray(mat, float))
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(s > rank_rel * s[0]))
-
-
 def intersect(subspaces, tol: Tolerances = DEFAULT) -> Subspace:
     """Intersection of projective subspaces; empty intersection has dim -1.
 
@@ -281,5 +273,5 @@ def same_subspace(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT) -> bool:
         return False
     if a.dim < 0:
         return True
-    stacked = np.vstack([a.basis, b.basis])
-    return rank_at(stacked, tol.rank_rel) == a.basis.shape[0]
+    s = np.linalg.svd(np.vstack([a.basis, b.basis]), compute_uv=False)
+    return int(np.sum(s > tol.rank_rel * s[0])) == a.basis.shape[0]

@@ -82,8 +82,8 @@ def _parity_checked(c: ParamCurve, p, tol: Tolerances) -> RootCount:
     if (c.n - rc.total) % 2 != 0:
         raise OnDiscriminantError(
             f"tangency total {rc.total} has the wrong parity for dimension "
-            f"{c.n}; the point sits numerically on the discriminant"
-        )
+            f"{c.n}; the point sits numerically on the discriminant",
+            point=p, count=rc.total)
     return rc
 
 

@@ -17,7 +17,6 @@ from osculant import (
     check_convex_sampling,
     component_census,
     count_roots,
-    elliptic_hull,
     elliptic_hull_membership,
     exact_count,
     factor_binary_form,
@@ -211,7 +210,7 @@ def test_hull_membership_and_center(trig, rational, verdict):
     good = 0
     tried = 0
     for c in (trig[2], trig[4], trig[6], rational[4], rational[6]):
-        hull = elliptic_hull(c)
+        hull = c.hull
         dim = hull.frame.shape[0]
         members = []
         for _ in range(25):
@@ -223,7 +222,7 @@ def test_hull_membership_and_center(trig, rational, verdict):
             i, j = rng.integers(0, len(members), size=2)
             mid = hull.from_chart(0.5 * (members[i] + members[j]))
             tried += 1
-            good += bool(elliptic_hull_membership(c, mid, hull=hull))
+            good += bool(elliptic_hull_membership(c, mid))
     center = np.asarray(hull_center(trig[2]).coords, float)
     center = center / np.linalg.norm(center) * np.sign(center[0])
     cerr = np.linalg.norm(center - np.array([1.0, 0.0, 0.0]))

@@ -128,6 +128,9 @@ def test_unknown_model_is_usage_error(capsys):
 
 def test_bad_flag_is_usage_error(capsys):
     assert main(["roots", "--nope"]) == 3
+    # a flag that another command reads is not accepted here
+    assert main(["roots", "--curve", "trig_convex:2", "--seed", "3",
+                 "(1, 3, 0)"]) == 3
 
 
 def test_import_leaves_scipy_optimize_unloaded():

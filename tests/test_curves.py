@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from osculant import fourier
 from osculant.config import DEFAULT
 from osculant.curves import (build_model, curve_from_spec, dual_curve,
                              nonconvex_space_curve, perturbed_circle)
 from osculant.errors import DegeneracyError
+from osculant.projection import project_iterated
 
 
 def test_circle_is_the_circle():
@@ -64,6 +66,19 @@ def test_jet_grid_agrees_with_pointwise():
     grid = c.jet_grid(ts, 2)
     for i, t in enumerate(ts):
         assert np.allclose(grid[i], c.jet(float(t), 2), atol=1e-12)
+
+
+def test_jet_grid_rows_are_evaluate_bit_for_bit(trig, rational):
+    # dual_coeffs is built from jet_grid, so these bits are what F_p reads
+    child = project_iterated(trig[4], [1.0]).curve
+    for c in (trig[5], rational[4], dual_curve(rational[4]), child):
+        ts = np.linspace(0.0, c.projective_period, 29, endpoint=False) + 0.01
+        grid = c.jet_grid(ts, c.n)
+        for j in range(c.n + 1):
+            want = fourier.evaluate(c.coeffs, ts, order=j)
+            assert np.array_equal(grid[:, j], want), (c, j)
+        with pytest.raises(ValueError):
+            c.jet_coeffs(c.n + 1)
 
 
 def test_curve_from_spec_file(tmp_path):

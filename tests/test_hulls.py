@@ -34,7 +34,7 @@ def test_center_sees_no_tangent_hyperplane(trig):
 def test_midpoints_of_members_are_members(trig, rng):
     for n in (2, 4):
         c = trig[n]
-        hull = elliptic_hull(c)
+        hull = c.hull
         center = np.asarray(hull.center.coords, float)
         members = []
         for _ in range(12):
@@ -45,8 +45,8 @@ def test_midpoints_of_members_are_members(trig, rng):
         for _ in range(20):
             i, j = rng.integers(0, len(members), size=2)
             mid = 0.5 * (members[i] / members[i][0] + members[j] / members[j][0])
-            assert elliptic_hull_membership(c, mid, hull=hull)
-        assert elliptic_hull_membership(c, center, hull=hull)
+            assert elliptic_hull_membership(c, mid)
+        assert elliptic_hull_membership(c, center)
 
 
 def test_half_spaces_contain_the_curve(trig):
@@ -62,7 +62,7 @@ def test_half_spaces_contain_the_curve(trig):
 
 def test_boundary_scale_matches_membership_bisection(trig, rng):
     c = trig[4]
-    hull = elliptic_hull(c)
+    hull = c.hull
     for _ in range(4):
         d = rng.standard_normal(hull.frame.shape[0])
         d /= np.linalg.norm(d)
@@ -72,7 +72,7 @@ def test_boundary_scale_matches_membership_bisection(trig, rng):
             mid = 0.5 * (lo + hi)
             p = hull.from_chart(hull.center_chart + mid * d)
             try:
-                inside = elliptic_hull_membership(c, p, hull=hull)
+                inside = elliptic_hull_membership(c, p)
             except PrecisionError:
                 lo = hi = mid    # ambiguous shell straddling the boundary
                 break
@@ -96,11 +96,11 @@ def test_boundary_scale_reuses_the_orientation_reference(trig, monkeypatch):
 
 def test_membership_outside_chart_direction(trig, rng):
     c = trig[2]
-    hull = elliptic_hull(c)
+    hull = c.hull
     d = rng.standard_normal(2)
     d /= np.linalg.norm(d)
     far = hull.from_chart(hull.center_chart + 1.5 * hull.boundary_scale(d) * d)
-    assert not elliptic_hull_membership(c, far, hull=hull)
+    assert not elliptic_hull_membership(c, far)
 
 
 def test_odd_dimension_uses_the_count(trig, rng):
@@ -122,8 +122,8 @@ def test_nonconvex_curve_is_rejected():
 
 
 def test_distinct_rational_normal_hull(rational):
-    hull = elliptic_hull(rational[4])
-    assert elliptic_hull_membership(rational[4], hull.center, hull=hull)
+    hull = rational[4].hull
+    assert elliptic_hull_membership(rational[4], hull.center)
     assert hull.taus.shape[0] == hull.covectors.shape[0]
     assert hull.covectors.shape[1] == 5
 

@@ -181,8 +181,10 @@ def test_parity_mismatch_is_an_on_discriminant_signal(monkeypatch, trig):
 
     fake = RootCount(tangencies=((0.5, 1),), total=1)
     monkeypatch.setattr(strata, "count_roots", lambda *a, **k: fake)
-    with pytest.raises(OnDiscriminantError):
+    with pytest.raises(OnDiscriminantError) as exc:
         strata.stratum_label(trig[2], (1.0, 0.0, 0.0))
+    assert exc.value.count == 1
+    assert np.array_equal(exc.value.point, [1.0, 0.0, 0.0])
 
 
 def test_census_constancy_draws_are_bounded(monkeypatch, trig):
