@@ -9,9 +9,14 @@ trial count", never a proof.
 
 The intersection criterion gets a second, deterministic phase: violations
 such as bitangent hyperplanes live on measure-zero subsets of the moment
-torus, which random tuples miss almost surely.  A coarse scan of two-part
-compositions over a moment grid followed by local minimization of the
-smallest stacked singular value finds them reliably.
+torus, which random tuples miss almost surely.  The (1, n-1) and (n-1, 1)
+compositions are proved clean when they are: if no osculating hyperplane
+meets the curve again, none contains a tangent line.  That is a proof over
+the whole moment torus, near the diagonal too, and it settles every
+two-part composition of a curve with n <= 3.  The remaining compositions
+get a coarse scan over a moment grid followed by local minimization of the
+smallest stacked singular value, which finds violations reliably but
+proves nothing.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .tangency import count_roots
 _log = logging.getLogger("osculant")
 
 PAIR_SCAN_GRID = 96
+HYPERPLANE_GRID = 256
 _SIGMA_VIOLATION = 1e-7
 
 
@@ -122,8 +128,8 @@ def _annihilators(ph, rows, tol) -> np.ndarray:
     return vt[:, order + 1:]
 
 
-def _sigma_grids(curve, grid, scan_sep, tol):
-    """Yield (k, sigma) for k = 1..n//2, one grid per composition (k, n-k).
+def _sigma_grids(curve, grid, scan_sep, tol, first=1):
+    """Yield (k, sigma) for k = first..n//2, one grid per composition (k, n-k).
 
     sigma[i, j] is the smallest singular value of the stacked annihilators
     at moments (grid[i], grid[j]); pairs closer than scan_sep are +inf.
@@ -133,9 +139,10 @@ def _sigma_grids(curve, grid, scan_sep, tol):
     n, m = curve.n, len(grid)
     period = curve.projective_period
     ph = fourier.phase_matrix(grid, curve.K)
-    anns = {k: _annihilators(ph, _jet_rows(curve, k), tol) for k in range(1, n)}
+    anns = {k: _annihilators(ph, _jet_rows(curve, k), tol)
+            for k in range(first, n - first + 1)}
     band = projective.circular_gap(grid[:, None], grid[None, :], period) < scan_sep
-    for k in range(1, n // 2 + 1):
+    for k in range(first, n // 2 + 1):
         stacked = np.concatenate(
             (np.broadcast_to(anns[k][:, None], (m, m, k, n + 1)),
              np.broadcast_to(anns[n - k][None, :], (m, m, n - k, n + 1))),
@@ -181,28 +188,33 @@ def _intersection_dim_stable(curve, parts, moments, tol) -> int:
     return dim
 
 
-def _pair_scan(curve, tol):
+def _pair_scan(curve, tol, first=1):
     """Deterministic sweep for rank drops of two-part intersections.
 
-    Near the diagonal the two subspaces mathematically collapse onto each
-    other (up to cubically in the gap), so moments closer than 5 percent of
-    the period are excluded; violations at shorter range reveal themselves
-    to the sampling bound instead.  A candidate only becomes a witness if
-    the refined minimum is a certified rank drop: tiny smallest singular
-    value and a tolerance-stable nonzero intersection dimension.
+    Scans the compositions (k, n-k) with first <= k <= n-k.  Near the
+    diagonal the two subspaces mathematically collapse onto each other (up
+    to cubically in the gap), so moments closer than 5 percent of the
+    period are excluded; check_convex_criterion covers those cells of
+    (1, n-1) with _hyperplane_certificate, and violations at shorter range
+    in other compositions reveal themselves to the sampling bound instead.
+    A candidate only becomes a witness if the refined minimum is a
+    certified rank drop: tiny smallest singular value and a
+    tolerance-stable nonzero intersection dimension.
 
     One search of (k, n-k) with k <= n-k stands for its mirror (n-k, k)
     as well.  When k = n-k, a candidate (i, j) whose mirror (j, i) was
     already refined is skipped: had that refinement found a witness, the
     scan would have ended there.
     """
+    n = curve.n
+    if first > n // 2:
+        return None
     from scipy.optimize import minimize
 
-    n = curve.n
     period = curve.projective_period
     scan_sep = max(0.05 * period, tol.moment_sep * period)
     grid = np.arange(PAIR_SCAN_GRID) * (period / PAIR_SCAN_GRID)
-    for k1, sig in _sigma_grids(curve, grid, scan_sep, tol):
+    for k1, sig in _sigma_grids(curve, grid, scan_sep, tol, first):
         parts = (k1, n - k1)
         sigma = _sigma(curve, k1, scan_sep, tol)
         trigger = 0.15 * np.median(sig[np.isfinite(sig)])
@@ -250,6 +262,110 @@ def _pair_scan(curve, tol):
     return None
 
 
+def _hyperplane_certificate(curve, tol):
+    """Prove that no osculating hyperplane meets the curve again.
+
+    The pairing <gamma*(t1), gamma(t1 + s)> vanishes to order n at every s
+    in P*Z (P the projective period), so h(t1, s) = <gamma*(t1),
+    gamma(t1 + s)> / sin^n(pi s / P) is a trig polynomial.  A zero-free h
+    means that the osculating hyperplane at each t1 meets the curve only
+    at t1, with order exactly n; then no tangent line lies in an
+    osculating hyperplane, which rules out every (1, n-1) and (n-1, 1)
+    rank drop, near the diagonal too.
+
+    h is evaluated on a HYPERPLANE_GRID^2 grid over the 4pi x 4pi lift.
+    It has no zero when every grid value has one sign and min|h| exceeds
+    half a grid step times sum |Q| (|nu_t1| + |nu_s|), a bound on how far
+    h moves between grid points, plus the rounding bound of the
+    evaluation: 8 eps sum |Q| (number of coefficients + largest phase
+    argument).  Returns (certified, witness).  witness is a zero of h when
+    h takes both signs beyond the rounding bound, else None.  Neither
+    holds unless the deflation remainder (relative to its row) and Im h
+    (relative to sum |Q|) stay below tol.rank_rel.  Never raises; a curve
+    it cannot decide is left to the pair scan.
+    """
+    n, K, period = curve.n, curve.K, curve.projective_period
+    dual = curve.dual_coeffs
+    Kd = fourier.halfspan(dual)
+    turns = round(4.0 * np.pi / period)     # periods in the 4pi lift
+    Ks = K - turns * n // 2
+    if Ks < 0:
+        _log.debug("osculating-hyperplane certificate: the pairing has "
+                   "span %d, below its %d forced zeros", 2 * K, turns * n)
+        return False, None
+    # row m of the pairing in (t1, s) collects G[m - b, b]
+    pairing = dual.T @ curve.coeffs
+    rows = np.zeros((2 * (Kd + K) + 1, 2 * K + 1), complex)
+    for b in range(2 * K + 1):
+        rows[b:b + 2 * Kd + 1, b] = pairing[:, b]
+    top = np.abs(rows).max(axis=1)
+    rows[top <= 1e-12 * top.max()] = 0.0    # rows of pure rounding
+    # (u^turns - 1)^n = u^(turns n / 2) (2i)^n sin^n(pi s / P), u = e^(is/2)
+    roots = np.exp(2j * np.pi * np.arange(turns) / turns)
+    q, remainder = fourier.deflate(rows, roots, n)
+    q *= (2j) ** n
+    ts = fourier.sample_grid(HYPERPLANE_GRID)
+    nu1, nu2 = fourier.frequencies(Kd + K), fourier.frequencies(Ks)
+    h = fourier.phase_matrix(ts, Kd + K) @ q @ fourier.phase_matrix(ts, Ks).T
+    mass = np.abs(q).sum()
+    imag, h = np.abs(h.imag).max(), h.real
+    slack = 0.5 * ts[1] * (np.abs(q) * np.add.outer(np.abs(nu1),
+                                                     np.abs(nu2))).sum()
+    rounding = 8 * np.finfo(float).eps * mass * (
+        q.size + ts[-1] * (nu1[-1] + nu2[-1]))
+    lo, hi = float(h.min()), float(h.max())
+    margin = max(lo, -hi)       # min|h| when h has one sign
+    if remainder > tol.rank_rel or imag > tol.rank_rel * mass:
+        _log.debug("osculating-hyperplane certificate: not decided, "
+                   "deflation remainder %.3g, |Im h| %.3g", remainder, imag)
+        return False, None
+    if margin > slack + rounding:
+        _log.debug("pair scan %s: certified by osculating-hyperplane "
+                   "positivity, covers %s; margin %.3g over slack %.3g and "
+                   "rounding %.3g on a %dx%d grid, deflation remainder %.3g",
+                   (1, n - 1), (n - 1, 1), margin, slack, rounding,
+                   HYPERPLANE_GRID, HYPERPLANE_GRID, remainder)
+        return True, None
+    if lo < -rounding and hi > rounding:
+        t1, s = _zero_between_cells(h, q, ts, nu1, nu2)
+        _log.debug("osculating-hyperplane certificate: h changes sign, "
+                   "range [%.3g, %.3g]", lo, hi)
+        return False, {"moments": (projective.fold(t1, period),
+                                   projective.fold(t1 + s, period)),
+                       "h_range": (lo, hi)}
+    _log.debug("osculating-hyperplane certificate: not decided, h in "
+               "[%.3g, %.3g], margin %.3g under slack %.3g and rounding "
+               "%.3g", lo, hi, margin, slack, rounding)
+    return False, None
+
+
+def _zero_between_cells(h, q, ts, nu1, nu2):
+    """(t1, s) with h = 0, bisected between neighbors of opposite sign.
+
+    h holds the grid values; the first neighboring pair along s with
+    opposite signs is taken, else the first along t1.
+    """
+    pos = h > 0
+    for axis in (1, 0):
+        cells = np.argwhere(pos != np.roll(pos, -1, axis=axis))
+        if len(cells):
+            break
+    i, j = cells[0]
+    shift = np.array([0.0, 1.0] if axis == 1 else [1.0, 0.0])
+    start = np.array([ts[i], ts[j]])
+    near, far = 0.0, ts[1]
+    for _ in range(60):
+        mid = 0.5 * (near + far)
+        t1, s = start + mid * shift
+        value = np.real(np.exp(1j * t1 * nu1) @ q @ np.exp(1j * s * nu2))
+        if (value > 0) == pos[i, j]:
+            near = mid
+        else:
+            far = mid
+    t1, s = start + 0.5 * (near + far) * shift
+    return float(t1), float(s)
+
+
 def check_convex_criterion(curve, samples: int = 500, rng=None,
                            tol: Tolerances = DEFAULT,
                            pair_scan: bool = True) -> ConvexityReport:
@@ -259,8 +375,14 @@ def check_convex_criterion(curve, samples: int = 500, rng=None,
     tuples, the intersection of the subspaces of codimension k_i at t_i
     must be a single point.  The rank decision must hold at the working
     tolerance and at ten times the working tolerance, otherwise a precision
-    error is raised.  A deterministic pair scan then hunts for the
-    measure-zero violations random tuples cannot see.
+    error is raised.  Deterministic checks then hunt for the measure-zero
+    violations random tuples cannot see.  _hyperplane_certificate proves
+    (1, n-1) and (n-1, 1) clean over the whole moment torus, near the
+    diagonal too, when it can; the pair scan covers every composition it
+    did not prove, so a curve with n <= 3 that it certifies needs no scan.
+    If the scan finds no witness but the certificate found an osculating
+    hyperplane that meets the curve again, the criterion fails with that
+    zero of h as its witness.
     """
     rng = np.random.default_rng(rng)
     n = curve.n
@@ -279,11 +401,17 @@ def check_convex_criterion(curve, samples: int = 500, rng=None,
                 notes="osculating intersection is not a point",
             )
     if pair_scan:
-        witness = _pair_scan(curve, tol)
+        certified, meets = _hyperplane_certificate(curve, tol)
+        witness = _pair_scan(curve, tol, first=2 if certified else 1)
         if witness is not None:
             return ConvexityReport(
                 False, samples, witness=witness,
                 notes="pair scan found a rank drop",
+            )
+        if meets is not None:
+            return ConvexityReport(
+                False, samples, witness=meets,
+                notes="an osculating hyperplane meets the curve again",
             )
     scanned = " plus a deterministic pair scan" if pair_scan else ""
     return ConvexityReport(

@@ -13,12 +13,14 @@ from osculant import (
     count_roots,
     fourier,
 )
+from osculant import convexity
 from osculant.config import DEFAULT
-from osculant.convexity import (_annihilators, _jet_rows, _pair_scan, _sigma,
-                                _sigma_grids)
+from osculant.convexity import (_annihilators, _hyperplane_certificate,
+                                _jet_rows, _pair_scan, _sigma, _sigma_grids)
 from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
                              perturbed_circle)
 from osculant.errors import DegeneracyError
+from osculant.projection import project_iterated
 from osculant.projective import osculating_subspace
 
 ASTROID = [[1], [0, .75, 0, 0, 0, .25, 0], [0, 0, .75, 0, 0, 0, -.25]]
@@ -172,10 +174,12 @@ def test_pair_scan_logs_one_record_per_composition(trig, caplog):
     caplog.set_level(logging.DEBUG, logger="osculant")
     check_convex_criterion(trig[3], samples=5, rng=0)
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    # n = 3 has no composition left for the scan once (1, 2) is certified
     assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 2)"]
-    assert all("covers (2, 1) by transpose" in m and "candidates refined" in m
-               and "mirror candidates skipped" in m and "evaluations" in m
-               and "smallest refined sigma" in m for m in msgs)
+    assert all("certified by osculating-hyperplane positivity" in m
+               and "covers (2, 1)" in m and "margin" in m and "slack" in m
+               and "256x256 grid" in m and "deflation remainder" in m
+               for m in msgs)
 
 
 def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
@@ -184,6 +188,9 @@ def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
     assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 3)",
                                                "pair scan (2, 2)"]
+    assert "certified by osculating-hyperplane positivity" in msgs[0]
+    assert ("covers (2, 2) by transpose" in msgs[1]
+            and "evaluations" in msgs[1] and "smallest refined sigma" in msgs[1])
     refined, skipped = map(int, re.search(
         r"(\d+) candidates refined, (\d+) mirror candidates skipped",
         msgs[1]).groups())
@@ -202,6 +209,51 @@ def test_pair_scan_refines_only_local_minima(rational, caplog):
         r"(\d+) candidates refined, (\d+) mirror candidates skipped, "
         r"(\d+) evaluations", m).groups())) for m in msgs]
     assert counts == [(4, 0, 1590), (3, 1, 1064)]
+
+
+def test_hyperplane_certificate_on_convex_curves(trig, rational):
+    curves = [c for n in range(2, 7) for c in (trig[n], rational[n])]
+    curves += [dual_curve(rational[4]),
+               project_iterated(trig[4], (1.0,)).curve,
+               perturbed_circle(0.05)]
+    for c in curves:
+        assert _hyperplane_certificate(c, DEFAULT) == (True, None), c.model
+
+
+def test_hyperplane_certificate_refuses_nonconvex_curves():
+    astroid = build_model("fourier", 2, ASTROID)
+    for c in (nonconvex_space_curve(), astroid, perturbed_circle(0.1001),
+              perturbed_circle(0.11), perturbed_circle(0.3)):
+        certified, meets = _hyperplane_certificate(c, DEFAULT)
+        assert not certified, c.model
+        lo, hi = meets["h_range"]
+        assert lo < 0 < hi
+
+
+def test_criterion_without_pair_scan_skips_the_certificate(trig, monkeypatch):
+    def refuse(curve, tol):
+        raise AssertionError("certificate ran")
+    monkeypatch.setattr(convexity, "_hyperplane_certificate", refuse)
+    assert check_convex_criterion(trig[3], samples=5, rng=0, pair_scan=False)
+
+
+@pytest.mark.parametrize("a", [0.102, 0.105])
+def test_osculating_hyperplane_meeting_the_curve_fails(a):
+    # the pair scan misses these curves; sampling and h do not
+    pc = perturbed_circle(a)
+    samp = check_convex_sampling(pc, trials=2000, rng=1)
+    assert not samp and samp.witness["total"] == 4
+    report = check_convex_criterion(pc, samples=50, rng=1)
+    assert not report
+    assert report.notes == "an osculating hyperplane meets the curve again"
+    lo, hi = report.witness["h_range"]
+    assert lo < 0 < hi
+    t1, t2 = report.witness["moments"]
+    assert 0 < abs(t1 - t2) < pc.projective_period
+    # the tangent line at t1 passes through gamma(t2)
+    cov = fourier.evaluate(pc.dual_coeffs, t1)
+    pt = pc.point(t2)
+    assert abs(cov @ pt) < 1e-9 * np.linalg.norm(cov) * np.linalg.norm(pt)
 
 
 def test_perturbed_circle_fails_sampling():
