@@ -57,6 +57,8 @@ def _parse_point(raw: str, dim: int) -> np.ndarray:
     if v.shape != (dim,) or not v.any():
         raise ValueError(f"point needs {dim} homogeneous coordinates, "
                          "not all zero")
+    if not np.isfinite(v).all():
+        raise ValueError(f"point {raw!r} has a non-finite coordinate")
     return v
 
 

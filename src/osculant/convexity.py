@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fourier, projective
 from .config import DEFAULT, Tolerances
-from .errors import DegeneracyError, PrecisionError
+from .errors import PrecisionError
 from .tangency import count_roots
 
 _log = logging.getLogger("osculant")
@@ -110,22 +110,11 @@ def _annihilators(ph, rows, tol) -> np.ndarray:
     """Annihilators of the codimension-k osculating subspaces at every moment.
 
     ph holds one phase row per moment, fourier.phase_matrix(ts, K), and
-    rows is _jet_rows(curve, k); their product is the jets.  Returns
-    orthonormal rows of shape (len(ts), k, n+1), spanning what
-    osculating_subspace(curve, t, n-k).annihilator() spans, from one phase
-    product and one batched SVD.  A jet row no longer than tol.rank_rel
-    times the longest row of its jet, or a rank drop at tol.rank_rel,
-    raises DegeneracyError.
+    rows is _jet_rows(curve, k); their product is the jets.  Returns the
+    trailing k rows of their osculating frames, shape (len(ts), k, n+1).
     """
-    order = rows.shape[1] - 1
     jets = np.real(ph @ rows.reshape(len(rows), -1)).reshape(-1, *rows.shape[1:])
-    nrm = np.linalg.norm(jets, axis=2, keepdims=True)
-    if (nrm <= tol.rank_rel * nrm.max(axis=1, keepdims=True)).any():
-        raise DegeneracyError(f"a jet of order {order} has a vanishing row")
-    _, s, vt = np.linalg.svd(jets / nrm, full_matrices=True)
-    if (s[:, -1] <= tol.rank_rel * s[:, 0]).any():
-        raise DegeneracyError(f"a jet of order {order} drops rank")
-    return vt[:, order + 1:]
+    return projective.osculating_frame(jets, tol)[:, rows.shape[1]:]
 
 
 def _sigma_grids(curve, grid, scan_sep, tol, first=1):
@@ -173,13 +162,11 @@ def _sigma(curve, k, scan_sep, tol):
 
 
 def _intersection_dim_stable(curve, parts, moments, tol) -> int:
-    subs = [
-        projective.osculating_subspace(curve, float(t), curve.n - k, tol)
-        for k, t in zip(parts, moments)
-    ]
-    dim = projective.intersect(subs, tol).dim
-    loose = tol.with_overrides(rank_rel=10 * tol.rank_rel)
-    dim10 = projective.intersect(subs, loose).dim
+    n = curve.n
+    anns = [projective.osculating_frame(curve.jet(float(t), n - k), tol)[n - k + 1:]
+            for k, t in zip(parts, moments)]
+    dim, dim10 = (len(null) - 1 for null in projective.joint_null(
+        anns, tol.rank_rel, 10 * tol.rank_rel))
     if dim != dim10:
         raise PrecisionError(
             f"intersection dimension flips from {dim} to {dim10} under a "

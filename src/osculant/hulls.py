@@ -26,7 +26,7 @@ from . import fourier
 from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError, PrecisionError
-from .projective import ProjPoint, normalize
+from .projective import ProjPoint, complement, normalize
 from .tangency import count_roots
 
 _log = logging.getLogger("osculant")
@@ -154,8 +154,7 @@ def elliptic_hull(curve: ParamCurve) -> EllipticHull:
     if nw < 1e-9:
         raise GeometryError("dual covectors average out; no canonical chart")
     w = w / nw
-    _, _, vt = np.linalg.svd(w[None, :])
-    frame = vt[1:]
+    frame = complement(w)
 
     # Chebyshev center of the sampled polytope in chart coordinates
     b = covs @ w

@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError
-from .projective import osculating_subspace
+from .projective import complement, osculating_subspace
 
 _EXTENT_FACTOR = 3.0
 
@@ -120,8 +120,7 @@ def sample_discriminant(c: ParamCurve, t_steps: int, ruling_steps: int,
         # least-norm point of the ruling inside the chart, then the
         # directions of its affine slice (span vectors at infinity)
         base = span.T @ (sw / nsw ** 2)
-        _, _, vt = np.linalg.svd(sw[None, :])
-        dirs = vt[1:] @ span
+        dirs = complement(sw) @ span
         patches[i] = base + offsets @ dirs
         rulings[i] = offsets
     return RuledSample(c, ts, patches, rulings, w)
@@ -143,8 +142,7 @@ def export(s: RuledSample, format: str, out) -> Path:
                 "OBJ export is a surface format; it needs a 3-dimensional "
                 f"ambient space, got n={n}"
             )
-        _, _, vt = np.linalg.svd(s.chart[None, :])
-        frame = vt[1:]
+        frame = complement(s.chart)
         lines = []
         for i in range(t_steps):
             for j in range(r_steps):

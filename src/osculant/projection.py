@@ -125,8 +125,7 @@ def project_onto_osculating_hyperplane(curve: ParamCurve, tau: float,
         raise GeometryError("deflated projection is not a real curve")
 
     # internal coordinates: orthonormal complement of the covector h
-    _, _, vt = np.linalg.svd(h[None, :])
-    B = vt[1:]
+    B = projective.complement(h)
     inner = fourier.trimmed(B.astype(complex) @ herm)
     child = ParamCurve(inner, model=f"proj({curve.model} @ {tau:.6g})")
 

@@ -111,16 +111,18 @@ class Subspace:
 
     def annihilator(self) -> np.ndarray:
         """Orthonormal rows spanning the covectors that vanish on this subspace."""
-        m = self.ambient_dim + 1
-        if self.basis.shape[0] == 0:
-            return np.eye(m)
-        _, s, vt = np.linalg.svd(self.basis, full_matrices=True)
-        return vt[self.basis.shape[0]:]
+        return complement(self.basis)
 
     def spanning_point(self) -> ProjPoint:
         if self.dim != 0:
             raise ValueError("spanning_point requires a zero-dimensional subspace")
         return normalize(self.basis[0])
+
+
+def complement(rows) -> np.ndarray:
+    """Orthonormal rows spanning the complement of independent rows, or of a vector."""
+    rows = np.atleast_2d(rows)
+    return np.linalg.svd(rows)[2][rows.shape[0]:]
 
 
 def _row_space(mat: np.ndarray, rank_rel: float) -> np.ndarray:
@@ -148,15 +150,34 @@ def intersect(subspaces, tol: Tolerances = DEFAULT) -> Subspace:
     amb = subs[0].ambient_dim
     if any(s.ambient_dim != amb for s in subs):
         raise ValueError("mixed ambient dimensions")
-    ann = np.vstack([s.annihilator() for s in subs])
-    if ann.shape[0] == 0:
-        return Subspace.full(amb)
-    _, s, vt = np.linalg.svd(ann)
-    rank = int(np.sum(s > tol.rank_rel * s[0])) if s.size else 0
-    null = vt[rank:]
-    if null.shape[0] == 0:
-        return Subspace.empty(amb)
-    return Subspace(null, amb)
+    return Subspace(joint_null([s.annihilator() for s in subs], tol.rank_rel)[0], amb)
+
+
+def joint_null(annihilators, *rank_rels) -> list:
+    """Orthonormal null space of stacked annihilator rows, once per cutoff.
+
+    One SVD serves every relative cutoff; no rows leave the whole space.
+    """
+    _, s, vt = np.linalg.svd(np.vstack(annihilators))
+    return [vt[int(np.sum(s > rel * s[0])) if s.size else 0:] for rel in rank_rels]
+
+
+def osculating_frame(jets, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Right singular vectors of a jet (k+1, n+1) or of a stack of jets.
+
+    Rows are normalized first.  The leading k+1 rows of the result span the
+    osculating subspace, the rest annihilate it.  A row no longer than
+    tol.rank_rel times its jet's longest, as at a cusp, or a rank drop at
+    tol.rank_rel raises DegeneracyError.
+    """
+    order = jets.shape[-2] - 1
+    nrm = np.linalg.norm(jets, axis=-1, keepdims=True)
+    if (nrm <= tol.rank_rel * nrm.max(axis=-2, keepdims=True)).any():
+        raise DegeneracyError(f"a jet of order {order} has a vanishing row")
+    _, s, vt = np.linalg.svd(jets / nrm, full_matrices=True)
+    if (s[..., -1] <= tol.rank_rel * s[..., 0]).any():
+        raise DegeneracyError(f"a jet of order {order} drops rank")
+    return vt
 
 
 def osculating_subspace(curve, t: float, k: int, tol: Tolerances = DEFAULT) -> Subspace:
@@ -164,20 +185,12 @@ def osculating_subspace(curve, t: float, k: int, tol: Tolerances = DEFAULT) -> S
     n = curve.n
     if not 0 <= k <= n:
         raise ValueError(f"osculating order k must lie in 0..{n}")
-    rows = curve.jet(t, k)
-    nrm = np.linalg.norm(rows, axis=1)
-    if np.any(nrm <= tol.rank_rel * nrm.max()):
-        raise DegeneracyError(f"jet of order {k} at t={t} has a vanishing row")
-    q = _row_space(rows, tol.rank_rel)
-    if q.shape[0] != k + 1:
-        raise DegeneracyError(f"jet of order {k} at t={t} has rank {q.shape[0]}")
-    return Subspace(q, n)
+    return Subspace(osculating_frame(curve.jet(t, k), tol)[:k + 1], n)
 
 
 def osculating_hyperplane(curve, t: float, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Unit covector of the osculating hyperplane at t (sign canonicalized)."""
-    sub = osculating_subspace(curve, t, curve.n - 1, tol)
-    h = sub.annihilator()[0]
+    h = osculating_frame(curve.jet(t, curve.n - 1), tol)[-1]
     lead = np.nonzero(np.abs(h) > 1e-12)[0]
     if lead.size and h[lead[0]] < 0:
         h = -h
@@ -264,8 +277,8 @@ def osculating_intersection(curve, moments, tol: Tolerances = DEFAULT) -> Subspa
         raise ValueError("need at least one moment")
     if sum(r for _, r in merged) > n:
         raise ValueError("total multiplicity exceeds the ambient dimension")
-    subs = [osculating_subspace(curve, t, n - r, tol) for t, r in merged]
-    return intersect(subs, tol)
+    anns = [osculating_frame(curve.jet(t, n - r), tol)[n - r + 1:] for t, r in merged]
+    return Subspace(joint_null(anns, tol.rank_rel)[0], n)
 
 
 def same_subspace(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT) -> bool:

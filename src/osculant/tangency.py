@@ -50,9 +50,16 @@ def _point_vec(p, dim: int) -> np.ndarray:
     v = np.asarray(getattr(p, "coords", p), float)
     if v.shape != (dim,):
         raise ValueError(f"point must have {dim} homogeneous coordinates")
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("zero vector is not a point")
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)
+    if not 0.0 < nrm < np.inf:
+        if not np.isfinite(v).all():
+            raise ValueError("point coordinates must be finite")
+        if not v.any():
+            raise ValueError("zero vector is not a point")
+        # the sum of squares over- or underflowed: rescale, then normalize
+        v = v / np.abs(v).max()
+        nrm = np.linalg.norm(v)
     return v / nrm
 
 

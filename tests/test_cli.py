@@ -64,6 +64,19 @@ def test_roots_rejects_malformed_point(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("roots", "--curve", "trig_convex:2", "(nan, 1, 0)"),
+    ("roots", "--curve", "trig_convex:2", "(inf, 1, 0)"),
+    ("transport", "--curve", "trig_convex:2", "(1, inf, 0)",
+     "rational_normal:2"),
+])
+def test_non_finite_point_is_usage_error(capsys, argv):
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert "non-finite coordinate" in err
+    assert "vanished identically" not in err
+
+
 def test_project_recursion(capsys):
     code, doc = _run(capsys, "project", "--curve", "trig_convex:4",
                      "--seed", "3", "1.0", "2.5")

@@ -16,12 +16,15 @@ from osculant import (
 from osculant import convexity
 from osculant.config import DEFAULT
 from osculant.convexity import (_annihilators, _hyperplane_certificate,
-                                _jet_rows, _pair_scan, _sigma, _sigma_grids)
+                                _intersection_dim_stable, _jet_rows,
+                                _pair_scan, _random_composition, _sigma,
+                                _sigma_grids)
 from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
                              perturbed_circle)
-from osculant.errors import DegeneracyError
+from osculant.errors import DegeneracyError, PrecisionError
 from osculant.projection import project_iterated
-from osculant.projective import osculating_subspace
+from osculant.projective import (intersect, osculating_subspace,
+                                 separated_moments)
 
 ASTROID = [[1], [0, .75, 0, 0, 0, .25, 0], [0, 0, .75, 0, 0, 0, -.25]]
 
@@ -141,6 +144,34 @@ def test_sigma_is_the_per_moment_annihilator_svd():
                                               _anns(c, [t2], n - k)[0]))
                     want = float(np.linalg.svd(stacked, compute_uv=False)[-1])
                 assert sigma(np.array([t1, t2])) == want, (c.model, k, t1, t2)
+
+
+def test_criterion_dimension_is_the_intersection_dimension():
+    # one SVD read at both tolerances decides what two intersects decide
+    loose = DEFAULT.with_overrides(rank_rel=10 * DEFAULT.rank_rel)
+    for make in CERTIFY_CURVES:
+        c = make()
+        n, period = c.n, c.projective_period
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            parts = _random_composition(n, rng)
+            moments = separated_moments(len(parts), period,
+                                        DEFAULT.moment_sep * period, rng)
+            subs = [osculating_subspace(c, t, n - k)
+                    for k, t in zip(parts, moments)]
+            dim, dim10 = intersect(subs).dim, intersect(subs, loose).dim
+            if dim != dim10:
+                with pytest.raises(PrecisionError):
+                    _intersection_dim_stable(c, parts, moments, DEFAULT)
+            else:
+                assert _intersection_dim_stable(c, parts, moments,
+                                                DEFAULT) == dim
+    # the pinned witness of the non-convex control
+    c, moments = nonconvex_space_curve(), (0.0, 3.1415926540347137)
+    subs = [osculating_subspace(c, moments[0], 2),
+            osculating_subspace(c, moments[1], 1)]
+    assert intersect(subs).dim == 1
+    assert _intersection_dim_stable(c, (1, 2), moments, DEFAULT) == 1
 
 
 def test_pair_scan_control_witnesses_are_pinned():

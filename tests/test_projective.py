@@ -7,8 +7,8 @@ from osculant.config import DEFAULT
 from osculant.curves import build_model
 from osculant.errors import DegeneracyError
 from osculant.projective import (Subspace, circular_clusters, circular_gap,
-                                 fold, merge_moments, normalize,
-                                 osculating_hyperplane,
+                                 complement, fold, merge_moments, normalize,
+                                 osculating_frame, osculating_hyperplane,
                                  osculating_intersection, osculating_subspace,
                                  same_subspace, separated_moments)
 
@@ -35,6 +35,29 @@ def test_annihilator_is_orthogonal_complement(rng):
     ann = s.annihilator()
     assert ann.shape == (3, 5)
     assert np.max(np.abs(ann @ vecs.T)) < 1e-12
+
+
+def test_complement_of_a_covector_and_of_nothing(rng):
+    w = rng.standard_normal(5)
+    frame = complement(w)
+    assert frame.shape == (4, 5)
+    assert np.abs(frame @ frame.T - np.eye(4)).max() < 1e-12
+    assert np.abs(frame @ w).max() < 1e-12
+    assert np.array_equal(Subspace.empty(3).annihilator(), np.eye(4))
+
+
+def test_stacked_frames_give_the_osculating_bases_bit_for_bit(trig, rational):
+    # the mesh reads osculating_subspace's bases, so one jet's SVD and the
+    # stacked SVD of the same jets must agree bit for bit
+    for n in range(2, 7):
+        for c in (trig[n], rational[n]):
+            ts = np.arange(50) * (c.projective_period / 50)
+            for k in range(n + 1):
+                frames = osculating_frame(np.stack([c.jet(t, k) for t in ts]))
+                assert frames.shape == (50, n + 1, n + 1)
+                for t, frame in zip(ts, frames):
+                    basis = osculating_subspace(c, t, k).basis
+                    assert np.array_equal(basis, frame[:k + 1]), (c.model, k, t)
 
 
 def test_osculating_flag_is_nested(trig):

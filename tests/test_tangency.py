@@ -314,3 +314,22 @@ def test_rejects_bad_points(trig):
         count_roots(trig[2], (1.0, 2.0))
     with pytest.raises(ValueError):
         count_roots(trig[2], (0.0, 0.0, 0.0))
+
+
+def test_rejects_non_finite_points(trig):
+    for p in ((np.nan, 1.0, 0.0), (np.inf, 1.0, 0.0), (1.0, -np.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            count_roots(trig[2], p)
+        with pytest.raises(ValueError, match="finite"):
+            order_of_tangency(trig[2], p, 0.0)
+
+
+def test_points_whose_norm_overflows_are_rescaled(trig, rng):
+    # the sum of squares overflows; the point is the one at [1, 1, 1e-308]
+    assert count_roots(trig[2], [1e308, 1e308, 1.0]) == \
+           count_roots(trig[2], [1.0, 1.0, 1e-308])
+    assert count_roots(trig[2], [1e308, 1e308, 1.0]).total == 2
+    assert count_roots(trig[2], [1e-200] * 3) == count_roots(trig[2], [1.0] * 3)
+    # ordinary points keep their bits: no rescaling unless the norm fails
+    for v in rng.standard_normal((50, 5)) * 10.0 ** rng.integers(-8, 9, (50, 1)):
+        assert np.array_equal(tangency._point_vec(v, 5), v / np.linalg.norm(v))
