@@ -188,7 +188,7 @@ def _cmd_transport(ns) -> int:
     q = realize(c2, rescale_moments(d1, c1, c2), ns.tol)
     d2 = tangency_data(c2, q.coords, ns.tol)
     back = realize(c1, rescale_moments(d2, c2, c1), ns.tol)
-    a = p / np.linalg.norm(p)
+    a = normalize(p).coords
     b = back.coords / np.linalg.norm(back.coords)
     rt = float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
     ok = d1.index == d2.index and rt <= 1e-5

@@ -14,8 +14,8 @@ compositions are proved clean when they are: if no osculating hyperplane
 meets the curve again, none contains a tangent line.  That is a proof over
 the whole moment torus, near the diagonal too, and it settles every
 two-part composition of a curve with n <= 3.  The remaining compositions
-get a coarse scan over a moment grid followed by local minimization of the
-smallest stacked singular value, which finds violations reliably but
+get a coarse scan over a moment grid followed by a pattern search for
+the smallest stacked singular value, which finds violations reliably but
 proves nothing.
 """
 
@@ -101,64 +101,57 @@ def _random_composition(n: int, rng) -> tuple[int, ...]:
     return tuple(int(x) for x in np.diff(np.concatenate(([0], cuts, [n]))))
 
 
-def _jet_rows(curve, k) -> np.ndarray:
-    """(2K+1, n-k+1, n+1) coefficients of the jet of order n-k; see _annihilators."""
-    return np.moveaxis(curve.jet_coeffs(curve.n - k), -1, 0)
+def _annihilators(curve, ts, k, tol) -> np.ndarray:
+    """Annihilators of the codimension-k osculating subspaces at moments ts.
 
-
-def _annihilators(ph, rows, tol) -> np.ndarray:
-    """Annihilators of the codimension-k osculating subspaces at every moment.
-
-    ph holds one phase row per moment, fourier.phase_matrix(ts, K), and
-    rows is _jet_rows(curve, k); their product is the jets.  Returns the
-    trailing k rows of their osculating frames, shape (len(ts), k, n+1).
+    Shape (len(ts), k, n+1): the trailing k rows of each osculating frame.
     """
-    jets = np.real(ph @ rows.reshape(len(rows), -1)).reshape(-1, *rows.shape[1:])
-    return projective.osculating_frame(jets, tol)[:, rows.shape[1]:]
+    n = curve.n
+    return projective.osculating_frame(curve.jet_grid(ts, n - k), tol)[:, n - k + 1:]
 
 
-def _sigma_grids(curve, grid, scan_sep, tol, first=1):
-    """Yield (k, sigma) for k = first..n//2, one grid per composition (k, n-k).
+def _sigma_block(curve, k, ts1, ts2, scan_sep, tol) -> np.ndarray:
+    """sigma of the composition (k, n-k) on the moment grid ts1 x ts2.
 
     sigma[i, j] is the smallest singular value of the stacked annihilators
-    at moments (grid[i], grid[j]); pairs closer than scan_sep are +inf.
-    The grid of (n-k, k) stacks the same two blocks in the other order, so
-    its singular values are those of sigma.T and it is not computed.
+    at moments (ts1[i], ts2[j]); pairs closer than scan_sep are +inf.  The
+    block of (n-k, k) on ts2 x ts1 has the same singular values, so it is
+    this block transposed.
     """
-    n, m = curve.n, len(grid)
-    period = curve.projective_period
-    ph = fourier.phase_matrix(grid, curve.K)
-    anns = {k: _annihilators(ph, _jet_rows(curve, k), tol)
-            for k in range(first, n - first + 1)}
-    band = projective.circular_gap(grid[:, None], grid[None, :], period) < scan_sep
-    for k in range(first, n // 2 + 1):
-        stacked = np.concatenate(
-            (np.broadcast_to(anns[k][:, None], (m, m, k, n + 1)),
-             np.broadcast_to(anns[n - k][None, :], (m, m, n - k, n + 1))),
-            axis=2)
-        sig = np.linalg.svd(stacked, compute_uv=False)[..., -1]
-        sig[band] = np.inf
-        yield k, sig
+    n = curve.n
+    a1, a2 = _annihilators(curve, ts1, k, tol), _annihilators(curve, ts2, n - k, tol)
+    shape = (len(ts1), len(ts2))
+    stacked = np.concatenate((np.broadcast_to(a1[:, None], (*shape, k, n + 1)),
+                              np.broadcast_to(a2[None, :], (*shape, n - k, n + 1))),
+                             axis=2)
+    sig = np.linalg.svd(stacked, compute_uv=False)[..., -1]
+    gap = projective.circular_gap(np.subtract.outer(ts1, ts2), 0.0,
+                                  curve.projective_period)
+    sig[gap < scan_sep] = np.inf
+    return sig
 
 
-def _sigma(curve, k, scan_sep, tol):
-    """sigma(x) of (k, n-k) at moments x = (t1, t2), as _sigma_grids defines it.
+def _pattern_search(curve, k, x, step, scan_sep, tol):
+    """Local minimum of sigma of (k, n-k) near moments x; returns (x, sigma, values).
 
-    Moments closer than scan_sep give 1.0.  The jet rows of both orders are
-    built once, so a call only makes the phase rows of its two moments.
+    Each step evaluates a 5x5 window of spacing step centred on x and moves
+    to its smallest sigma; when the centre is smallest, the step shrinks
+    fourfold.  The search stops once the step is below 1e-13 or after 400
+    steps.  values counts the sigma values computed.
     """
-    period = curve.projective_period
-    nu = fourier.frequencies(curve.K)
-    rows1, rows2 = _jet_rows(curve, k), _jet_rows(curve, curve.n - k)
-
-    def sigma(x):
-        if projective.circular_gap(x[0], x[1], period) < scan_sep:
-            return 1.0
-        ph = np.exp(1j * np.multiply.outer(x, nu))
-        stacked = np.concatenate((_annihilators(ph[:1], rows1, tol)[0],
-                                  _annihilators(ph[1:], rows2, tol)[0]))
-        return float(np.linalg.svd(stacked, compute_uv=False)[-1])
-    return sigma
+    offsets = np.arange(-2, 3)
+    sig, steps = np.inf, 0
+    while step >= 1e-13 and steps < 400:
+        window = _sigma_block(curve, k, x[0] + step * offsets,
+                              x[1] + step * offsets, scan_sep, tol)
+        steps += 1
+        sig = float(window.min())
+        if window[2, 2] <= sig:
+            step /= 4.0
+        else:
+            i, j = np.unravel_index(np.argmin(window), window.shape)
+            x = (x[0] + step * offsets[i], x[1] + step * offsets[j])
+    return x, sig, 25 * steps
 
 
 def _intersection_dim_stable(curve, parts, moments, tol) -> int:
@@ -184,7 +177,10 @@ def _pair_scan(curve, tol, first=1):
     period are excluded; check_convex_criterion covers those cells of
     (1, n-1) with _hyperplane_certificate, and violations at shorter range
     in other compositions reveal themselves to the sampling bound instead.
-    A candidate only becomes a witness if the refined minimum is a
+    Each composition gets one _sigma_block on a PAIR_SCAN_GRID^2 grid; its
+    local minima under 0.15 times the median, at most 12 and smallest
+    first, are refined by _pattern_search on the same evaluator.  A
+    candidate only becomes a witness if the refined minimum is a
     certified rank drop: tiny smallest singular value and a
     tolerance-stable nonzero intersection dimension.
 
@@ -194,16 +190,12 @@ def _pair_scan(curve, tol, first=1):
     scan would have ended there.
     """
     n = curve.n
-    if first > n // 2:
-        return None
-    from scipy.optimize import minimize
-
     period = curve.projective_period
     scan_sep = max(0.05 * period, tol.moment_sep * period)
     grid = np.arange(PAIR_SCAN_GRID) * (period / PAIR_SCAN_GRID)
-    for k1, sig in _sigma_grids(curve, grid, scan_sep, tol, first):
+    for k1 in range(first, n // 2 + 1):
         parts = (k1, n - k1)
-        sigma = _sigma(curve, k1, scan_sep, tol)
+        sig = _sigma_block(curve, k1, grid, grid, scan_sep, tol)
         trigger = 0.15 * np.median(sig[np.isfinite(sig)])
         neighborhood = np.stack([
             np.roll(np.roll(sig, di, axis=0), dj, axis=1)
@@ -223,22 +215,20 @@ def _pair_scan(curve, tol, first=1):
                 skipped += 1
                 continue
             starts.add((i, j))
-            res = minimize(
-                sigma, x0=np.array([grid[i], grid[j]]), method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
-            )
-            refined, evals = refined + 1, evals + res.nfev
-            best = min(best, float(res.fun))
-            if res.fun >= _SIGMA_VIOLATION:
+            x, fun, values = _pattern_search(curve, k1, (grid[i], grid[j]),
+                                             grid[1], scan_sep, tol)
+            refined, evals = refined + 1, evals + values
+            best = min(best, fun)
+            if fun >= _SIGMA_VIOLATION:
                 continue
-            t1, t2 = (projective.fold(x, period) for x in res.x)
+            t1, t2 = (projective.fold(t, period) for t in x)
             try:
                 dim = _intersection_dim_stable(curve, parts, (t1, t2), tol)
             except PrecisionError:
                 continue
             if dim != 0:
                 witness = {"composition": parts, "moments": (t1, t2),
-                           "sigma_min": float(res.fun), "dim": dim}
+                           "sigma_min": fun, "dim": dim}
                 break
         _log.debug("pair scan %s: covers %s by transpose, %d candidates "
                    "refined, %d mirror candidates skipped, %d evaluations, "

@@ -26,7 +26,7 @@ from . import fourier
 from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError, PrecisionError
-from .projective import ProjPoint, complement, normalize
+from .projective import ProjPoint, complement, normalize, point_vector
 from .tangency import count_roots
 
 _log = logging.getLogger("osculant")
@@ -200,7 +200,7 @@ def elliptic_hull_membership(curve: ParamCurve, p,
     if n % 2 == 1:
         return total == 1
     member = total == 0
-    v = np.asarray(getattr(p, "coords", p), float)
+    v = point_vector(p)
     denom = float(curve.hull.chart @ v)
     if abs(denom) < 1e-12 * np.linalg.norm(v):
         if member:

@@ -46,13 +46,31 @@ class ProjPoint:
         return self.coords.shape[0] - 1
 
 
+def point_vector(p, dim: int | None = None) -> np.ndarray:
+    """Homogeneous coordinates of a point, with a positive finite norm.
+
+    Non-finite and zero vectors raise ValueError.  A vector whose sum of
+    squares over- or underflows is divided by its largest |entry|; any
+    other vector is returned with its bits.
+    """
+    v = _as_vec(p)
+    if dim is not None and v.shape != (dim,):
+        raise ValueError(f"point must have {dim} homogeneous coordinates")
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)
+    if not 0.0 < nrm < np.inf:
+        if not np.isfinite(v).all():
+            raise ValueError("point coordinates must be finite")
+        if not v.any():
+            raise ValueError("zero vector is not a point")
+        v = v / np.abs(v).max()
+    return v
+
+
 def normalize(raw) -> ProjPoint:
     """Canonical representative: unit norm, first significant entry positive."""
-    v = _as_vec(raw)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    v = v / nrm
+    v = point_vector(raw)
+    v = v / np.linalg.norm(v)
     lead = np.nonzero(np.abs(v) > 1e-12)[0]
     if lead.size and v[lead[0]] < 0:
         v = -v

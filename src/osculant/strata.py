@@ -24,7 +24,7 @@ from .curves import ParamCurve
 from .errors import GeometryError, OnDiscriminantError, PrecisionError
 from .forms import exact_count
 from .projective import (ProjPoint, normalize, osculating_intersection,
-                         separated_moments)
+                         point_vector, separated_moments)
 from .projection import project_iterated
 from .tangency import RootCount, count_roots
 
@@ -104,7 +104,7 @@ def tangency_data(c: ParamCurve, p, tol: Tolerances = DEFAULT) -> StratumData:
         # p is the single point cut out by the n osculating hyperplanes
         return StratumData(0, moments, FiberPoint((), 0.0))
     child, hull = _child_and_hull(c, moments, tol)
-    v = np.asarray(getattr(p, "coords", p), float)
+    v = point_vector(p)
     q = child.push(v) if child is not None else v
     y = hull.to_chart(q)
     r = y - hull.center_chart

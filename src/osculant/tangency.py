@@ -28,7 +28,7 @@ from . import fourier
 from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError, PrecisionError
 from .projective import (circular_clusters, circular_gap, fold, merge_moments,
-                         osculating_subspace)
+                         osculating_subspace, point_vector)
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,8 @@ class RootCount:
 
 
 def _point_vec(p, dim: int) -> np.ndarray:
-    v = np.asarray(getattr(p, "coords", p), float)
-    if v.shape != (dim,):
-        raise ValueError(f"point must have {dim} homogeneous coordinates")
-    with np.errstate(over="ignore"):
-        nrm = np.linalg.norm(v)
-    if not 0.0 < nrm < np.inf:
-        if not np.isfinite(v).all():
-            raise ValueError("point coordinates must be finite")
-        if not v.any():
-            raise ValueError("zero vector is not a point")
-        # the sum of squares over- or underflowed: rescale, then normalize
-        v = v / np.abs(v).max()
-        nrm = np.linalg.norm(v)
-    return v / nrm
+    v = point_vector(p, dim)
+    return v / np.linalg.norm(v)
 
 
 def tangency_function(curve, p) -> fourier.TrigPoly:

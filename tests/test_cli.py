@@ -77,6 +77,23 @@ def test_non_finite_point_is_usage_error(capsys, argv):
     assert "vanished identically" not in err
 
 
+
+@pytest.mark.parametrize("point, twin", [
+    ("(1e308, 1e308, 1)", "(1, 1, 1e-308)"),
+    ("(1e308, 2e307, 1e307)", "(10, 2, 1)"),
+    ("(1e-310, 2e-311, 1e-311)", "(10, 2, 1)"),
+])
+def test_transport_of_extreme_points_matches_the_unscaled_twin(capsys, point,
+                                                               twin):
+    # the squares of these coordinates over- or underflow
+    docs = [_run(capsys, "transport", "--curve", "trig_convex:2", p,
+                 "rational_normal:2") for p in (point, twin)]
+    (code, doc), (_, ref) = docs
+    assert code == 0
+    assert doc["verdict"] == "pass"
+    assert doc["roundtrip_error"] <= 1e-5
+    assert doc["stratum_before"] == doc["stratum_after"] == ref["stratum_before"]
+
 def test_project_recursion(capsys):
     code, doc = _run(capsys, "project", "--curve", "trig_convex:4",
                      "--seed", "3", "1.0", "2.5")

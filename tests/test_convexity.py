@@ -1,8 +1,11 @@
 """Both convexity checkers on the stock models and the negative controls."""
 
+import itertools
 import logging
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,9 +19,8 @@ from osculant import (
 from osculant import convexity
 from osculant.config import DEFAULT
 from osculant.convexity import (_annihilators, _hyperplane_certificate,
-                                _intersection_dim_stable, _jet_rows,
-                                _pair_scan, _random_composition, _sigma,
-                                _sigma_grids)
+                                _intersection_dim_stable, _pair_scan,
+                                _random_composition, _sigma_block)
 from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
                              perturbed_circle)
 from osculant.errors import DegeneracyError, PrecisionError
@@ -34,8 +36,8 @@ def _grid(c):
 
 
 def _anns(c, ts, k):
-    """Codimension-k annihilators at ts, each moment's phase row made alone."""
-    return _annihilators(fourier.phase_matrix(ts, c.K), _jet_rows(c, k), DEFAULT)
+    """Codimension-k annihilators at ts."""
+    return _annihilators(c, ts, k, DEFAULT)
 
 
 CERTIFY_CURVES = (
@@ -102,9 +104,8 @@ def test_sigma_grid_matches_pairwise_loop(trig, rational):
     for c in (trig[4], dual_curve(rational[4])):
         n, grid = c.n, _grid(c)
         sep = 0.05 * c.projective_period
-        grids = list(_sigma_grids(c, grid, sep, DEFAULT))
-        assert [k for k, _ in grids] == list(range(1, n // 2 + 1))
-        for k, sig in grids:
+        for k in range(1, n // 2 + 1):
+            sig = _sigma_block(c, k, grid, grid, sep, DEFAULT)
             ref = _pairwise_sigma(c, grid, sep, k)
             assert np.array_equal(np.isinf(sig), np.isinf(ref))
             finite = np.isfinite(ref)
@@ -116,9 +117,8 @@ def test_mirrored_sigma_grid_is_the_transpose(trig, rational):
     for c in (trig[4], dual_curve(rational[4])):
         n, grid = c.n, _grid(c)
         sep = 0.05 * c.projective_period
-        for k, sig in _sigma_grids(c, grid, sep, DEFAULT):
-            if k == n - k:
-                continue
+        for k in range(1, (n + 1) // 2):
+            sig = _sigma_block(c, k, grid, grid, sep, DEFAULT)
             mirror = _pairwise_sigma(c, grid, sep, n - k)
             assert np.array_equal(np.isinf(mirror), np.isinf(sig.T))
             finite = np.isfinite(mirror)
@@ -126,24 +126,25 @@ def test_mirrored_sigma_grid_is_the_transpose(trig, rational):
 
 
 def test_sigma_is_the_per_moment_annihilator_svd():
-    # sigma builds its jet rows once and one phase product for both
-    # moments; each value must equal the per-moment computation bit for bit
+    # a block stacks the annihilators of each pair of moments and takes one
+    # batched SVD; each value must equal that pair's own SVD bit for bit
     for make in CERTIFY_CURVES:
         c = make()
         n, period = c.n, c.projective_period
         sep = 0.05 * period
         rng = np.random.default_rng(17)
         for k in range(1, n):
-            sigma = _sigma(c, k, sep, DEFAULT)
-            for t1, t2 in rng.uniform(0.0, period, (500, 2)):
-                d = abs(t1 - t2) % period
-                if min(d, period - d) < sep:
-                    want = 1.0
-                else:
-                    stacked = np.concatenate((_anns(c, [t1], k)[0],
-                                              _anns(c, [t2], n - k)[0]))
-                    want = float(np.linalg.svd(stacked, compute_uv=False)[-1])
-                assert sigma(np.array([t1, t2])) == want, (c.model, k, t1, t2)
+            for ts1, ts2 in rng.uniform(0.0, period, (20, 2, 5)):
+                block = _sigma_block(c, k, ts1, ts2, sep, DEFAULT)
+                anns1, anns2 = _anns(c, ts1, k), _anns(c, ts2, n - k)
+                for a, b in itertools.product(range(5), range(5)):
+                    d = abs(ts1[a] - ts2[b]) % period
+                    if min(d, period - d) < sep:
+                        want = np.inf
+                    else:
+                        stacked = np.concatenate((anns1[a], anns2[b]))
+                        want = np.linalg.svd(stacked, compute_uv=False)[-1]
+                    assert block[a, b] == want, (c.model, k, ts1[a], ts2[b])
 
 
 def test_criterion_dimension_is_the_intersection_dimension():
@@ -177,11 +178,62 @@ def test_criterion_dimension_is_the_intersection_dimension():
 def test_pair_scan_control_witnesses_are_pinned():
     w = _pair_scan(nonconvex_space_curve(), DEFAULT)
     assert (w["composition"], w["moments"], w["dim"]) == \
-           ((1, 2), (0.0, 3.1415926540347137), 1)
+           ((1, 2), (0.0, 3.141592655296769), 1)
     w = _pair_scan(perturbed_circle(0.3), DEFAULT)
     assert (w["composition"], w["moments"], w["dim"]) == \
-           ((1, 1), (3.7890534077767386, 2.494131899402835), 1)
+           ((1, 1), (3.7890534077766698, 2.494131899402917), 1)
 
+
+def _random_fourier_curve(n, amplitude, seed):
+    """trig_convex(n), n = 2, 3, 4, plus a random third harmonic in every row."""
+    rows = np.zeros((n + 1, 7))     # a0, a1, b1, a2, b2, a3, b3 per row
+    harmonics = {2: (0, 1, 2), 3: (1, 2, 5, 6), 4: (0, 1, 2, 3, 4)}[n]
+    rows[np.arange(n + 1), harmonics] = 1.0
+    rows[:, 5:] += amplitude * np.random.default_rng(seed).standard_normal((n + 1, 2))
+    return build_model("fourier", n, rows.tolist())
+
+
+# (n, amplitude, seed) -> whether the full pair scan finds a witness, as
+# the Nelder-Mead refinement that the pattern search replaced found it
+RANDOM_SCAN_VERDICTS = {
+    (2, 0.05, 0): False, (2, 0.15, 0): True, (2, 0.4, 0): True,
+    (3, 0.05, 0): False, (3, 0.15, 0): False, (3, 0.4, 0): False,
+    (4, 0.05, 0): False, (4, 0.15, 0): True, (4, 0.4, 0): True,
+    (4, 0.05, 1): True, (4, 0.15, 1): False, (4, 0.4, 1): True,
+}
+
+
+def test_pair_scan_verdicts_on_random_fourier_curves_are_pinned():
+    for key, found in RANDOM_SCAN_VERDICTS.items():
+        c = _random_fourier_curve(*key)
+        w = _pair_scan(c, DEFAULT)
+        assert (w is not None) == found, key
+        if found:
+            assert _intersection_dim_stable(c, w["composition"], w["moments"],
+                                            DEFAULT) > 0, key
+
+
+def test_convexity_checks_leave_scipy_optimize_unloaded():
+    # the pair scan refines on its own sigma evaluator, without scipy
+    code = """if True:
+        import sys
+        from osculant import check_convex_criterion, check_convex_sampling
+        from osculant.curves import (build_model, dual_curve,
+                                     nonconvex_space_curve, perturbed_circle)
+        for c in (build_model("trig_convex", 4), build_model("rational_normal", 3),
+                  dual_curve(build_model("rational_normal", 4)),
+                  nonconvex_space_curve(), perturbed_circle(0.3)):
+            check_convex_sampling(c, trials=50, rng=1)
+            print(check_convex_criterion(c, samples=50, rng=1).notes)
+        print("scipy.optimize" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *notes, loaded = proc.stdout.splitlines()
+    assert notes[3:] == ["pair scan found a rank drop"] * 2
+    assert all(n.endswith("plus a deterministic pair scan") for n in notes[:3])
+    assert loaded == "False"
 
 def test_cusp_on_the_scan_grid_is_a_degeneracy():
     astroid = build_model("fourier", 2, ASTROID)
@@ -190,13 +242,13 @@ def test_cusp_on_the_scan_grid_is_a_degeneracy():
     with pytest.raises(DegeneracyError):
         check_convex_criterion(astroid, samples=10, rng=0)
     # the velocity at these cusps evaluates to about 1e-16, not to 0
-    sigma = _sigma(astroid, 1, 0.05 * astroid.projective_period, DEFAULT)
+    sep = 0.05 * astroid.projective_period
     for t in (np.pi / 2, np.pi, 3 * np.pi / 2):
         with pytest.raises(DegeneracyError):
             _anns(astroid, np.array([t]), 1)
-        for x in ((t, t + 1.0), (t + 1.0, t)):
+        for t1, t2 in ((t, t + 1.0), (t + 1.0, t)):
             with pytest.raises(DegeneracyError):
-                sigma(np.array(x))
+                _sigma_block(astroid, 1, [t1], [t2], sep, DEFAULT)
 
 
 def test_pair_scan_logs_one_record_per_composition(trig, caplog):
@@ -232,14 +284,14 @@ def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
 def test_pair_scan_refines_only_local_minima(rational, caplog):
     # (1, 3) and (2, 2) each have 4 local minima under the trigger; the
     # scan must stop there rather than walk on through non-minimum cells.
-    # The evaluation counts pin every Nelder-Mead trajectory as well
+    # The sigma-value counts pin every pattern-search trajectory as well
     caplog.set_level(logging.DEBUG, logger="osculant")
     assert _pair_scan(dual_curve(rational[4]), DEFAULT) is None
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
     counts = [tuple(map(int, re.search(
         r"(\d+) candidates refined, (\d+) mirror candidates skipped, "
         r"(\d+) evaluations", m).groups())) for m in msgs]
-    assert counts == [(4, 0, 1590), (3, 1, 1064)]
+    assert counts == [(4, 0, 4400), (3, 1, 3050)]
 
 
 def test_hyperplane_certificate_on_convex_curves(trig, rational):

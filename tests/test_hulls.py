@@ -49,6 +49,14 @@ def test_midpoints_of_members_are_members(trig, rng):
         assert elliptic_hull_membership(c, center)
 
 
+
+def test_membership_of_points_whose_norm_over_or_underflows(trig):
+    for v, twin in (([1e308, 2e307, 1e307], [10.0, 2.0, 1.0]),
+                    ([1e-310, 2e-311, 1e-311], [10.0, 2.0, 1.0]),
+                    ([1e307, 2e307, 1e307], [1.0, 2.0, 1.0])):
+        assert elliptic_hull_membership(trig[2], v) == \
+               elliptic_hull_membership(trig[2], twin), v
+
 def test_half_spaces_contain_the_curve(trig):
     c = trig[4]
     hull = elliptic_hull(c)

@@ -20,6 +20,14 @@ def test_normalize_scales_and_rejects_zero():
         normalize([0.0, 0.0, 0.0])
 
 
+def test_normalize_rescales_points_whose_norm_over_or_underflows():
+    for v, twin in (([1e308, 1e308, 1.0], [1.0, 1.0, 1e-308]),
+                    ([1e-200] * 3, [1.0] * 3)):
+        p = normalize(v)
+        assert np.linalg.norm(p.coords) == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(p.coords, normalize(twin).coords, rtol=0, atol=1e-15)
+
+
 def test_subspace_contains_its_spanners(rng):
     vecs = rng.standard_normal((3, 6))
     s = Subspace.from_vectors(vecs)
