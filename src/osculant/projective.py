@@ -16,13 +16,6 @@ from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError
 
 
-def _as_vec(p) -> np.ndarray:
-    v = np.asarray(getattr(p, "coords", p), float)
-    if v.ndim != 1:
-        raise ValueError("expected a single coordinate vector")
-    return v
-
-
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of P^n by a homogeneous representative (never the zero vector)."""
@@ -30,13 +23,9 @@ class ProjPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.coords, float)
-        if v.ndim != 1 or v.shape[0] < 2:
+        v = point_vector(self.coords)
+        if v.shape[0] < 2:
             raise ValueError("homogeneous coordinates need at least two entries")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("coordinates must be finite")
-        if np.linalg.norm(v) == 0.0:
-            raise ValueError("the zero vector is not a projective point")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "coords", v)
@@ -53,7 +42,9 @@ def point_vector(p, dim: int | None = None) -> np.ndarray:
     squares over- or underflows is divided by its largest |entry|; any
     other vector is returned with its bits.
     """
-    v = _as_vec(p)
+    v = np.asarray(getattr(p, "coords", p), float)
+    if v.ndim != 1:
+        raise ValueError("expected a single coordinate vector")
     if dim is not None and v.shape != (dim,):
         raise ValueError(f"point must have {dim} homogeneous coordinates")
     with np.errstate(over="ignore"):
@@ -118,10 +109,8 @@ class Subspace:
         return self.basis.shape[0] - 1
 
     def contains(self, p, tol: Tolerances = DEFAULT) -> bool:
-        v = _as_vec(p)
+        v = point_vector(p)
         nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise ValueError("zero vector")
         if self.basis.shape[0] == 0:
             return False
         res = v - self.basis.T @ (self.basis @ v)

@@ -10,16 +10,18 @@ and every derivative of it are available in closed form.
 With u = exp(i t / 2), F_p is u^(-K) times a degree-2K polynomial in u.
 Its spectrum lies on one residue class mod s = 4 pi / period (the curve's
 dual_fold), so that polynomial is u^j0 Q(u^s), and each zero on one period
-is one unit-circle eigenvalue of Q's companion matrix.  The zeros are kept
-where |F_p| is below the zero threshold, merged within a tolerance, then
-polished and assigned multiplicities by a derivative scan, which tries
-order m only where at least m eigenvalues crowd the zero; order_of_tangency
-reads the same order off the osculating flag.
+is one unit-circle eigenvalue of Q's companion matrix.  Each eigenvalue
+moment where |F_p| is below the zero threshold gets its order from a
+derivative scan, which polishes it for order m only where at least m
+eigenvalues crowd it; the sites are then grouped once within the merge
+tolerance, one zero per group.  order_of_tangency reads the same order
+off the osculating flag.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from . import fourier
 from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError, PrecisionError
-from .projective import (circular_clusters, circular_gap, fold, merge_moments,
+from .projective import (circular_clusters, circular_gap, fold,
                          osculating_subspace, point_vector)
 
 
@@ -96,8 +98,8 @@ def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
     cands = np.array([fold(a, period) for a in (2.0 / s) * np.angle(w)])
     roots = cands[np.abs(F(cands)) <= zero_thr]
     sites = sorted(_assign_order(F, tau, cands, scale, zero_thr, n, period, tol)
-                   for tau, _size in merge_moments(roots, period, tol))
-    # polished locations of one zero found twice coincide: keep the first
+                   for tau in roots)
+    # the eigenvalues of one zero polish to one location: keep the first
     # site of each group (across the seam, the one at or above 0)
     groups = circular_clusters([t for t, _ in sites], period, tol.merge)
     tangencies = [(sites[min(g)][0], max(sites[i][1] for i in g)) for g in groups]
@@ -140,21 +142,16 @@ def _assign_order(F, tau, cands, scale, zero_thr, n, period, tol):
     An order-m zero splits into m eigenvalues around it, and the polish
     reaches only a zero within the window of tau; so hypothesis m is tried
     only when at least m candidates (cands, the unit-band moments) lie
-    within twice its window of tau.  A simple zero that no other candidate
-    crowds is never polished.
+    within twice its window of tau.  Order m's window, and the scale(m) it
+    reads, is computed only when there are at least m candidates, and a
+    simple zero that no other candidate crowds is never polished.
     """
     eps = np.finfo(float).eps
-    fact = 1.0
-    deltas = {}
-    for m in range(2, n + 1):
-        fact *= m
-        s_m = max(scale(m), eps * scale(0))
-        deltas[m] = (eps * scale(0) * fact / s_m) ** (1.0 / m)
-
     gaps = np.sort(circular_gap(cands, tau, period))
-    for m in range(n, 1, -1):
-        window = 10.0 * deltas[m] + 1e-12
-        if gaps.size < m or gaps[m - 1] > 2.0 * window:
+    for m in range(min(n, gaps.size), 1, -1):
+        s_m = max(scale(m), eps * scale(0))
+        window = 10.0 * (eps * scale(0) * math.factorial(m) / s_m) ** (1.0 / m) + 1e-12
+        if gaps[m - 1] > 2.0 * window:
             continue
         t2 = _newton_polish(F.deriv(m - 1), tau, window)
         if t2 is None:

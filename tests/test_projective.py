@@ -6,7 +6,7 @@ import pytest
 from osculant.config import DEFAULT
 from osculant.curves import build_model
 from osculant.errors import DegeneracyError
-from osculant.projective import (Subspace, circular_clusters, circular_gap,
+from osculant.projective import (ProjPoint, Subspace, circular_clusters, circular_gap,
                                  complement, fold, merge_moments, normalize,
                                  osculating_frame, osculating_hyperplane,
                                  osculating_intersection, osculating_subspace,
@@ -26,6 +26,31 @@ def test_normalize_rescales_points_whose_norm_over_or_underflows():
         p = normalize(v)
         assert np.linalg.norm(p.coords) == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(p.coords, normalize(twin).coords, rtol=0, atol=1e-15)
+
+
+def test_points_and_membership_read_extreme_points_like_their_twins(rng):
+    # ProjPoint and Subspace.contains read points through point_vector, so a
+    # vector whose norm under- or overflows is the point of its rescaled twin
+    plane = Subspace.from_vectors([[10.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
+    other = Subspace.from_vectors([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for v, twin in (([1e-310, 2e-311, 1e-311], [10.0, 2.0, 1.0]),
+                    ([1e308, 1e308, 1.0], [1.0, 1.0, 1e-308])):
+        p = ProjPoint(np.array(v))
+        assert 0.0 < np.linalg.norm(p.coords) < np.inf
+        assert np.allclose(normalize(p).coords, normalize(twin).coords,
+                           rtol=0, atol=1e-11)
+        assert Subspace.full(2).contains(v)
+        assert plane.contains(v) and plane.contains(twin)
+        assert not other.contains(v) and not other.contains(twin)
+    # ordinary points keep their bits
+    for v in rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-8, 9, (50, 1)):
+        assert np.array_equal(ProjPoint(v).coords, v)
+    with pytest.raises(ValueError, match="two entries"):
+        ProjPoint(np.array([1.0]))
+    with pytest.raises(ValueError, match="zero vector"):
+        ProjPoint(np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        Subspace.full(2).contains([np.nan, 1.0, 0.0])
 
 
 def test_subspace_contains_its_spanners(rng):

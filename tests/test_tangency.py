@@ -167,6 +167,33 @@ def _astroid():
                                       [0, 0, .75, 0, 0, 0, -.25]])
 
 
+def test_polish_windows_are_computed_only_for_orders_tried(monkeypatch):
+    # order m is tried only where m unit-band candidates crowd a zero, so
+    # the window of order m, and the scale product it reads, wait until then
+    c = build_model("rational_normal", 6)
+    requested = []
+    scales = tangency._scales
+
+    def recording(curve, F):
+        scale, orders = scales(curve, F), set()
+        requested.append(orders)
+
+        def wrapped(j):
+            orders.add(j)
+            return scale(j)
+        return wrapped
+
+    monkeypatch.setattr(tangency, "_scales", recording)
+    rng = np.random.default_rng(3)
+    totals = set()
+    for _ in range(300):
+        total = count_roots(c, rng.standard_normal(7)).total
+        orders = requested.pop()
+        assert orders == {0} if total == 0 else orders <= set(range(total + 1))
+        totals.add(total)
+    assert {2, 4} <= totals
+
+
 def test_dual_spectrum_folds_onto_one_residue_class(trig, rational):
     # F_p's polynomial in u = exp(i t/2) is u^j0 Q(u^s) with s = 4 pi / period
     curves = [*trig.values(), *rational.values(),
@@ -248,12 +275,32 @@ def test_planted_double_root_order(rational):
     assert order_of_tangency(rational[3], p, tau2) == 2
 
 
+# per draw of test_flag_points_report_their_order, the order reported within
+# 1e-6 of tau, or x for a refusal
+_FLAG_POINT_ORDERS = (
+    "111111111111111111112222222222222222222211111111111111111111"
+    "222222222222222222223333333333333333333311111111111111111111"
+    "222222222222222222223333333333333333333344444444444444444444"
+    "111111111111111111112222222222222222222233333333333333333333"
+    "444444444444444444445555555555555555555511111111111111111111"
+    "222222222222222222223333333333333333333344444444444444444444"
+    "555555555555555555556666666666666666666611111111111111111111"
+    "222222222222222222221111111111111111111122222222222222222222"
+    "333333333333333333331111111111111111111122222222222222222222"
+    "333333333333333333334444444444444444444411111111111111111111"
+    "222222222222222222223333333333333333333344444444444444444444"
+    "555555555555555555551111111111111111111122222222222222222222"
+    "3333333333333333333344444444444444444444555555555555x5555555"
+    "66666666666666666666"
+)
+
+
 def test_flag_points_report_their_order(trig, rational, rng):
     # a point of the codimension-r osculating subspace at tau is a zero of
     # order r there.  A draw that lies within member_rel of a deeper flag at a
     # nearby moment is that deeper point at the library's tolerance, so an
     # order the flag confirms there counts with the refusals, not as wrong
-    draws, refused, wrong = 0, 0, []
+    draws, refused, wrong, reported = 0, 0, [], []
     for c in (*trig.values(), *rational.values()):
         n, period = c.n, c.projective_period
         for r in range(1, n + 1):
@@ -266,10 +313,12 @@ def test_flag_points_report_their_order(trig, rational, rng):
                     rc = count_roots(c, p)
                 except PrecisionError:
                     refused += 1
+                    reported.append("x")
                     continue
                 gap = [abs(t - tau) % period for t, _ in rc.tangencies]
                 hit = [m for (_, m), d in zip(rc.tangencies, gap)
                        if min(d, period - d) <= 1e-6]
+                reported.append("".join(map(str, hit)) or "-")
                 if rc.total <= n and (n - rc.total) % 2 == 0:
                     if hit == [r]:
                         continue
@@ -281,6 +330,7 @@ def test_flag_points_report_their_order(trig, rational, rng):
     assert draws == 800
     assert not wrong
     assert refused <= draws // 100
+    assert "".join(reported) == _FLAG_POINT_ORDERS
 
 
 def test_order_of_tangency_refuses_a_cusp():
