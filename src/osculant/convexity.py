@@ -37,6 +37,7 @@ _log = logging.getLogger("osculant")
 PAIR_SCAN_GRID = 96
 HYPERPLANE_GRID = 256
 _SIGMA_VIOLATION = 1e-7
+MOMENT_SEP = 1e-3       # min spacing of sampled moments, fraction of the period
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def _pair_scan(curve, tol, first=1):
     """
     n = curve.n
     period = curve.projective_period
-    scan_sep = max(0.05 * period, tol.moment_sep * period)
+    scan_sep = 0.05 * period
     grid = np.arange(PAIR_SCAN_GRID) * (period / PAIR_SCAN_GRID)
     for k1 in range(first, n // 2 + 1):
         parts = (k1, n - k1)
@@ -257,9 +258,10 @@ def _hyperplane_certificate(curve, tol):
     evaluation: 8 eps sum |Q| (number of coefficients + largest phase
     argument).  Returns (certified, witness).  witness is a zero of h when
     h takes both signs beyond the rounding bound, else None.  Neither
-    holds unless the deflation remainder (relative to its row) and Im h
-    (relative to sum |Q|) stay below tol.rank_rel.  Never raises; a curve
-    it cannot decide is left to the pair scan.
+    holds unless the deflation remainder (relative to the largest
+    coefficient of the pairing) and Im h (relative to sum |Q|) stay below
+    tol.rank_rel.  Never raises; a curve it cannot decide is left to the
+    pair scan.
     """
     n, K, period = curve.n, curve.K, curve.projective_period
     dual = curve.dual_coeffs
@@ -275,12 +277,7 @@ def _hyperplane_certificate(curve, tol):
     rows = np.zeros((2 * (Kd + K) + 1, 2 * K + 1), complex)
     for b in range(2 * K + 1):
         rows[b:b + 2 * Kd + 1, b] = pairing[:, b]
-    top = np.abs(rows).max(axis=1)
-    rows[top <= 1e-12 * top.max()] = 0.0    # rows of pure rounding
-    # (u^turns - 1)^n = u^(turns n / 2) (2i)^n sin^n(pi s / P), u = e^(is/2)
-    roots = np.exp(2j * np.pi * np.arange(turns) / turns)
-    q, remainder = fourier.deflate(rows, roots, n)
-    q *= (2j) ** n
+    q, remainder = fourier.deflate(rows, 0.0, n, period)
     ts = fourier.sample_grid(HYPERPLANE_GRID)
     nu1, nu2 = fourier.frequencies(Kd + K), fourier.frequencies(Ks)
     h = fourier.phase_matrix(ts, Kd + K) @ q @ fourier.phase_matrix(ts, Ks).T
@@ -364,7 +361,7 @@ def check_convex_criterion(curve, samples: int = 500, rng=None,
     rng = np.random.default_rng(rng)
     n = curve.n
     period = curve.projective_period
-    sep = tol.moment_sep * period
+    sep = MOMENT_SEP * period
     for _ in range(samples):
         parts = _random_composition(n, rng)
         moments = projective.separated_moments(len(parts), period, sep, rng)

@@ -6,8 +6,9 @@ flip sign after one turn (lifts of odd-degree projective curves, deflated
 projections) inside a single representation: their spectra sit on odd k.  Real
 functions satisfy c[-k] = conj(c[k]).
 
-With u = exp(1j*t/2), f is u**(-K) times a polynomial of degree 2K in u; the
-deflation helpers below divide out roots of that polynomial on the unit circle.
+With u = exp(1j*t/2), f is u**(-K) times a polynomial of degree 2K in u;
+deflate divides powers of sin(pi (t - tau) / period) out of f by synthetic
+division at that polynomial's roots on the unit circle.
 """
 
 from __future__ import annotations
@@ -134,24 +135,30 @@ def _horner(desc: list, root: complex):
     return out, abs(desc[-1] + root * acc)
 
 
-def deflate(rows: np.ndarray, roots, times: int):
-    """Divide each row repeatedly by (u - r) per root, `times` times each.
+def deflate(rows: np.ndarray, tau: float, times: int, period: float):
+    """Divide ascending coefficient rows by sin^times(pi (t - tau) / period).
 
-    rows holds ascending coefficient arrays, one per row.  Returns (quotient
-    rows, max relative remainder), each remainder relative to the largest
-    coefficient of its own row.  Large remainders mean the function did not
-    actually vanish at the corresponding parameters.
+    In u = exp(it/2) the factor's zeros are the turns = 4pi/period roots
+    u_tau * 1j**(4k/turns) of u**turns - u_tau**turns, which equals
+    (u u_tau)**(turns/2) * 2i * sin(pi (t - tau) / period).  Each root is
+    divided out `times` times, and the quotient is multiplied by
+    (2i)**times * u_tau**(turns * times / 2).  Returns (quotient rows,
+    largest remainder relative to the largest coefficient of all rows), so
+    a row of pure rounding reads as rounding; a large remainder means the
+    rows do not vanish to that order.
     """
+    turns = round(4.0 * np.pi / period)
+    u = np.exp(0.5j * tau)
+    divisors = [complex(u * 1j ** (4 * k // turns)) for k in range(turns)] * times
     rows = np.asarray(rows, complex)
-    divisors = [complex(r) for r in roots] * times
     out, worst = [], 0.0
-    for desc, scale in zip(rows[:, ::-1].tolist(),
-                           np.abs(rows).max(axis=1).tolist()):
+    for desc in rows[:, ::-1].tolist():
         for r in divisors:
             desc, rem = _horner(desc, r)
-            worst = max(worst, rem / (scale or 1.0))
+            worst = max(worst, rem)
         out.append(desc[::-1])
-    return np.array(out, complex), worst
+    scalar = (2j) ** times * np.exp(0.25j * times * turns * tau)
+    return np.array(out, complex) * scalar, worst / (np.abs(rows).max() or 1.0)
 
 
 class TrigPoly:

@@ -59,7 +59,7 @@ class EllipticHull:
 
     def to_chart(self, p) -> np.ndarray:
         """Affine chart coordinates of a homogeneous point."""
-        v = np.asarray(getattr(p, "coords", p), float)
+        v = point_vector(p)
         denom = float(self.chart @ v)
         if abs(denom) < 1e-12 * np.linalg.norm(v):
             raise GeometryError("point lies on the chart hyperplane at infinity")

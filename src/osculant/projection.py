@@ -48,19 +48,17 @@ class ProjectedCurve:
 
     def push(self, p) -> np.ndarray:
         """Ambient homogeneous coordinates to internal ones."""
-        v = np.asarray(getattr(p, "coords", p), float)
-        return self.lift @ v
+        return self.lift @ projective.point_vector(p, self.lift.shape[1])
 
     def lift_point(self, q) -> np.ndarray:
         """Internal homogeneous coordinates to ambient ones."""
-        v = np.asarray(getattr(q, "coords", q), float)
-        return self.lift.T @ v
+        return self.lift.T @ projective.point_vector(q, self.lift.shape[0])
 
     def count_roots(self, p, tol: Tolerances = DEFAULT) -> RootCount:
         """Tangency count of an ambient point with respect to the projection."""
-        q = self.push(p)
-        if np.linalg.norm(q) < 1e-9 * np.linalg.norm(
-                np.asarray(getattr(p, "coords", p), float)):
+        v = projective.point_vector(p)
+        q = self.push(v)
+        if np.linalg.norm(q) < 1e-9 * np.linalg.norm(v):
             raise GeometryError("point is orthogonal to the ambient subspace")
         return count_roots(self.curve, q, tol)
 
@@ -79,25 +77,6 @@ def _projected_rows(curve: ParamCurve, h: np.ndarray) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _deflate_rows(rows: np.ndarray, tau: float, n: int, period: float):
-    """Divide out the order-(n-1) zero at tau from every coordinate.
-
-    In u = exp(it/2) the zero sits at unit-circle roots: two of them for a
-    2pi-periodic curve, four for a pi-periodic one (the zero recurs at every
-    projective repeat of tau).  The removed factor is a constant multiple of
-    a power of a sine, so multiplying by the constant restores a real curve.
-    """
-    u = np.exp(0.5j * tau)
-    if abs(period - np.pi) < 1e-12:
-        roots = [u, 1j * u, -u, -1j * u]
-        scalar = (2j) ** (n - 1) * np.exp(1j * (n - 1) * tau)
-    else:
-        roots = [u, -u]
-        scalar = (2j) ** (n - 1) * np.exp(0.5j * (n - 1) * tau)
-    q, worst = fourier.deflate(rows, roots, n - 1)
-    return q * scalar, worst
-
-
 def project_onto_osculating_hyperplane(curve: ParamCurve, tau: float,
                                        tol: Tolerances = DEFAULT
                                        ) -> ProjectedCurve:
@@ -113,7 +92,7 @@ def project_onto_osculating_hyperplane(curve: ParamCurve, tau: float,
         raise ValueError("projection needs ambient dimension at least 2")
     h = projective.osculating_hyperplane(curve, tau, tol)
     rows = _projected_rows(curve, h)
-    mat, worst = _deflate_rows(rows, float(tau), n, curve.projective_period)
+    mat, worst = fourier.deflate(rows, float(tau), n - 1, curve.projective_period)
     if worst > DEFLATE_REMAINDER:
         raise GeometryError(
             f"projection at tau={tau:.6g} does not vanish to order {n - 1}: "

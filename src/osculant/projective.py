@@ -15,6 +15,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError
 
+_MEMBER_REL = 1e-6      # subspace membership residual, relative to |p|
+
 
 @dataclass(frozen=True)
 class ProjPoint:
@@ -108,13 +110,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0] - 1
 
-    def contains(self, p, tol: Tolerances = DEFAULT) -> bool:
+    def contains(self, p) -> bool:
         v = point_vector(p)
         nrm = np.linalg.norm(v)
         if self.basis.shape[0] == 0:
             return False
         res = v - self.basis.T @ (self.basis @ v)
-        return float(np.linalg.norm(res)) <= tol.member_rel * nrm
+        return float(np.linalg.norm(res)) <= _MEMBER_REL * nrm
 
     def annihilator(self) -> np.ndarray:
         """Orthonormal rows spanning the covectors that vanish on this subspace."""

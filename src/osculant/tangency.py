@@ -71,12 +71,13 @@ def order_of_tangency(curve, p, tau: float, tol: Tolerances = DEFAULT) -> int:
     n = curve.n
     v = _point_vec(p, n + 1)
     for m in range(n):
-        if osculating_subspace(curve, tau, m, tol).contains(v, tol):
+        if osculating_subspace(curve, tau, m, tol).contains(v):
             return n - m
     raise ValueError("point is not on the osculating hyperplane at tau")
 
 
 _UNIT_BAND = 1e-2       # ||u| - 1| of root candidates; high-order zeros split off the circle
+_DERIV_REL = 1e-6       # a derivative is nonzero above _DERIV_REL times its scale
 
 
 def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
@@ -97,7 +98,7 @@ def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
     w = w[np.abs(np.abs(w) ** (1.0 / s) - 1.0) <= _UNIT_BAND]
     cands = np.array([fold(a, period) for a in (2.0 / s) * np.angle(w)])
     roots = cands[np.abs(F(cands)) <= zero_thr]
-    sites = sorted(_assign_order(F, tau, cands, scale, zero_thr, n, period, tol)
+    sites = sorted(_assign_order(F, tau, cands, scale, zero_thr, n, period)
                    for tau in roots)
     # the eigenvalues of one zero polish to one location: keep the first
     # site of each group (across the seam, the one at or above 0)
@@ -128,7 +129,7 @@ def _newton_polish(G, t0: float, window: float):
     return t
 
 
-def _assign_order(F, tau, cands, scale, zero_thr, n, period, tol):
+def _assign_order(F, tau, cands, scale, zero_thr, n, period):
     """Order of tau as a zero of F, relocating tau for high orders.
 
     A zero of order m is pinned down by values of F alone only to about
@@ -158,12 +159,12 @@ def _assign_order(F, tau, cands, scale, zero_thr, n, period, tol):
             continue
         if abs(float(F(t2))) > zero_thr:
             continue
-        if any(abs(float(F(t2, order=j))) > tol.deriv_rel * scale(j)
+        if any(abs(float(F(t2, order=j))) > _DERIV_REL * scale(j)
                for j in range(1, m)):
             continue
-        if abs(float(F(t2, order=m))) > tol.deriv_rel * scale(m):
+        if abs(float(F(t2, order=m))) > _DERIV_REL * scale(m):
             return fold(t2, period), m
-    if abs(float(F(tau, order=1))) > tol.deriv_rel * scale(1):
+    if abs(float(F(tau, order=1))) > _DERIV_REL * scale(1):
         return fold(tau, period), 1
     raise PrecisionError(
         f"cannot certify the tangency order at t={tau:.12g}; "

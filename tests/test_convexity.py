@@ -18,7 +18,8 @@ from osculant import (
 )
 from osculant import convexity
 from osculant.config import DEFAULT
-from osculant.convexity import (_annihilators, _hyperplane_certificate,
+from osculant.convexity import (MOMENT_SEP, _annihilators,
+                                _hyperplane_certificate,
                                 _intersection_dim_stable, _pair_scan,
                                 _random_composition, _sigma_block)
 from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
@@ -157,7 +158,7 @@ def test_criterion_dimension_is_the_intersection_dimension():
         for _ in range(200):
             parts = _random_composition(n, rng)
             moments = separated_moments(len(parts), period,
-                                        DEFAULT.moment_sep * period, rng)
+                                        MOMENT_SEP * period, rng)
             subs = [osculating_subspace(c, t, n - k)
                     for k, t in zip(parts, moments)]
             dim, dim10 = intersect(subs).dim, intersect(subs, loose).dim

@@ -52,14 +52,26 @@ def test_from_samples_roundtrip():
 
 
 def test_deflate_removes_root_exactly():
-    # (u - r) * q recovered by synthetic division
+    # g * sin^m(pi (t - tau) / P) recovered by synthetic division, for the
+    # two projective periods; the sine sits on frequencies +-turns/4
     rng = np.random.default_rng(3)
-    q = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    r = np.exp(0.7j)
-    full = fourier.convolve(np.array([-r, 1.0]), q)
-    quot, rem = fourier.deflate(full[None], [r], 1)
-    assert rem < 1e-12
-    assert np.allclose(quot[0], q, atol=1e-12)
+    g = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    tau = 0.7
+    for period, times in ((2 * np.pi, 1), (2 * np.pi, 3), (np.pi, 2)):
+        turns = round(4 * np.pi / period)
+        sine = np.zeros(turns + 1, complex)
+        sine[0] = -np.exp(0.25j * turns * tau) / 2j
+        sine[-1] = np.exp(-0.25j * turns * tau) / 2j
+        full = g
+        for _ in range(times):
+            full = fourier.convolve(full, sine)
+        quot, rem = fourier.deflate(full[None], tau, times, period)
+        assert rem < 1e-12
+        assert np.allclose(quot[0], g, atol=1e-12)
+        # a row of pure rounding leaves a remainder of rounding size
+        noise = 1e-17 * rng.standard_normal(full.size)
+        _, rem = fourier.deflate(np.vstack([full, noise]), tau, times, period)
+        assert rem < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

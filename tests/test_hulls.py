@@ -57,6 +57,15 @@ def test_membership_of_points_whose_norm_over_or_underflows(trig):
         assert elliptic_hull_membership(trig[2], v) == \
                elliptic_hull_membership(trig[2], twin), v
 
+def test_chart_of_points_whose_norm_overflows_or_that_are_no_points(trig):
+    hull = trig[4].hull
+    assert np.array_equal(hull.to_chart([1e308, 1e308, 0, 0, 0]),
+                          hull.to_chart([1.0, 1.0, 0, 0, 0]))
+    for bad in ([np.nan, 1.0, 0, 0, 0], [0.0] * 5):
+        with pytest.raises(ValueError):
+            hull.to_chart(bad)
+
+
 def test_half_spaces_contain_the_curve(trig):
     c = trig[4]
     hull = elliptic_hull(c)

@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
      "--out", "{tmp}/surface.obj"],
 ])
 def test_script_runs(argv, tmp_path):
-    env = dict(os.environ)
+    # the scripts keep the RuntimeWarning policy pyproject.toml gives tests
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     args = [a.format(tmp=tmp_path) for a in argv]

@@ -14,12 +14,14 @@ from osculant import (
     form_to_point,
     realize,
     rescale_moments,
+    sample_discriminant,
     stratum_label,
     tangency_data,
     transport,
 )
 from osculant.errors import (GeometryError, OnDiscriminantError, OsculantError,
                              PrecisionError)
+from osculant.projective import circular_gap
 from osculant.tangency import RootCount
 
 
@@ -112,6 +114,20 @@ def test_transport_between_families(trig, rational, rng):
         assert min(np.linalg.norm(v - u), np.linalg.norm(v + u)) < 1e-6
         moved += 1
     assert moved >= 8
+
+
+def test_transport_of_discriminant_points_keeps_their_tangency(trig, rational):
+    # two of these points have moments that rescale to about 0 and pi/2 on
+    # rational_normal:4, where the projection deflates rows of pure rounding
+    c1, c2 = trig[4], rational[4]
+    s = sample_discriminant(c1, t_steps=24, ruling_steps=5)
+    scale = c2.projective_period / c1.projective_period
+    for t, row in zip(s.ts * scale, s.patches):
+        for p in row:
+            rc = count_roots(c2, transport(p, c1, c2))
+            gap, order = min((circular_gap(u, t, c2.projective_period), m)
+                             for u, m in rc.tangencies)
+            assert gap < 1e-9 and order >= 2, (t, rc)
 
 
 def test_transport_same_period_keeps_moments(trig, rng):

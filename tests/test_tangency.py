@@ -297,7 +297,7 @@ _FLAG_POINT_ORDERS = (
 
 def test_flag_points_report_their_order(trig, rational, rng):
     # a point of the codimension-r osculating subspace at tau is a zero of
-    # order r there.  A draw that lies within member_rel of a deeper flag at a
+    # order r there.  A draw that lies within _MEMBER_REL of a deeper flag at a
     # nearby moment is that deeper point at the library's tolerance, so an
     # order the flag confirms there counts with the refusals, not as wrong
     draws, refused, wrong, reported = 0, 0, [], []
