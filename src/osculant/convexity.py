@@ -9,19 +9,23 @@ trial count", never a proof.
 
 The intersection criterion gets a second, deterministic phase: violations
 such as bitangent hyperplanes live on measure-zero subsets of the moment
-torus, which random tuples miss almost surely.  The (1, n-1) and (n-1, 1)
-compositions are proved clean when they are: if no osculating hyperplane
-meets the curve again, none contains a tangent line.  That is a proof over
-the whole moment torus, near the diagonal too, and it settles every
-two-part composition of a curve with n <= 3.  The remaining compositions
-get a coarse scan over a moment grid followed by a pattern search for
-the smallest stacked singular value, which finds violations reliably but
-proves nothing.
+torus, which random tuples miss almost surely.  Each two-part composition
+(k, n-k) with its mirror (n-k, k) is proved clean when it is: a rank drop
+puts a hyperplane through the codimension-k osculating subspace at one
+moment that meets the curve k+1 times at another, and a Wronskian of one
+sign rules that out over the whole moment torus, near the diagonal too.
+For k = 1 the Wronskian is the pairing of the osculating hyperplane with
+the curve.  Compositions that no Wronskian proves get a coarse scan over a
+moment grid followed by a pattern search for the smallest stacked
+singular value, which finds violations reliably but proves nothing.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -36,6 +40,8 @@ _log = logging.getLogger("osculant")
 
 PAIR_SCAN_GRID = 96
 HYPERPLANE_GRID = 256
+REFINE_DEPTH = 4
+REFINE_CELLS = HYPERPLANE_GRID ** 2
 _SIGMA_VIOLATION = 1e-7
 MOMENT_SEP = 1e-3       # min spacing of sampled moments, fraction of the period
 
@@ -169,15 +175,15 @@ def _intersection_dim_stable(curve, parts, moments, tol) -> int:
     return dim
 
 
-def _pair_scan(curve, tol, first=1):
+def _pair_scan(curve, tol, skip=()):
     """Deterministic sweep for rank drops of two-part intersections.
 
-    Scans the compositions (k, n-k) with first <= k <= n-k.  Near the
-    diagonal the two subspaces mathematically collapse onto each other (up
-    to cubically in the gap), so moments closer than 5 percent of the
-    period are excluded; check_convex_criterion covers those cells of
-    (1, n-1) with _hyperplane_certificate, and violations at shorter range
-    in other compositions reveal themselves to the sampling bound instead.
+    Scans the compositions (k, n-k) with k <= n-k and k not in skip.  Near
+    the diagonal the two subspaces mathematically collapse onto each other
+    (up to cubically in the gap), so moments closer than 5 percent of the
+    period are excluded; check_convex_criterion covers those cells with
+    _wronskian_certificate where it decides, and violations at shorter
+    range elsewhere reveal themselves to the sampling bound instead.
     Each composition gets one _sigma_block on a PAIR_SCAN_GRID^2 grid; its
     local minima under 0.15 times the median, at most 12 and smallest
     first, are refined by _pattern_search on the same evaluator.  A
@@ -194,7 +200,9 @@ def _pair_scan(curve, tol, first=1):
     period = curve.projective_period
     scan_sep = 0.05 * period
     grid = np.arange(PAIR_SCAN_GRID) * (period / PAIR_SCAN_GRID)
-    for k1 in range(first, n // 2 + 1):
+    for k1 in range(1, n // 2 + 1):
+        if k1 in skip:
+            continue
         parts = (k1, n - k1)
         sig = _sigma_block(curve, k1, grid, grid, scan_sep, tol)
         trigger = 0.15 * np.median(sig[np.isfinite(sig)])
@@ -240,104 +248,209 @@ def _pair_scan(curve, tol, first=1):
     return None
 
 
-def _hyperplane_certificate(curve, tol):
-    """Prove that no osculating hyperplane meets the curve again.
+def _leibniz(m, signed=True):
+    """Determinant (signed) or permanent of the k x k nested list m.
 
-    The pairing <gamma*(t1), gamma(t1 + s)> vanishes to order n at every s
-    in P*Z (P the projective period), so h(t1, s) = <gamma*(t1),
-    gamma(t1 + s)> / sin^n(pi s / P) is a trig polynomial.  A zero-free h
-    means that the osculating hyperplane at each t1 meets the curve only
-    at t1, with order exactly n; then no tangent line lies in an
-    osculating hyperplane, which rules out every (1, n-1) and (n-1, 1)
-    rank drop, near the diagonal too.
-
-    h is evaluated on a HYPERPLANE_GRID^2 grid over the 4pi x 4pi lift.
-    It has no zero when every grid value has one sign and min|h| exceeds
-    half a grid step times sum |Q| (|nu_t1| + |nu_s|), a bound on how far
-    h moves between grid points, plus the rounding bound of the
-    evaluation: 8 eps sum |Q| (number of coefficients + largest phase
-    argument).  Returns (certified, witness).  witness is a zero of h when
-    h takes both signs beyond the rounding bound, else None.  Neither
-    holds unless the deflation remainder (relative to the largest
-    coefficient of the pairing) and Im h (relative to sum |Q|) stay below
-    tol.rank_rel.  Never raises; a curve it cannot decide is left to the
-    pair scan.
+    Entries may be arrays of one shape.  The sum runs over permutations;
+    for k = 1 it is the one entry, bit for bit.
     """
-    n, K, period = curve.n, curve.K, curve.projective_period
-    dual = curve.dual_coeffs
-    Kd = fourier.halfspan(dual)
-    turns = round(4.0 * np.pi / period)     # periods in the 4pi lift
-    Ks = K - turns * n // 2
-    if Ks < 0:
-        _log.debug("osculating-hyperplane certificate: the pairing has "
-                   "span %d, below its %d forced zeros", 2 * K, turns * n)
-        return False, None
-    # row m of the pairing in (t1, s) collects G[m - b, b]
-    pairing = dual.T @ curve.coeffs
-    rows = np.zeros((2 * (Kd + K) + 1, 2 * K + 1), complex)
-    for b in range(2 * K + 1):
-        rows[b:b + 2 * Kd + 1, b] = pairing[:, b]
-    q, remainder = fourier.deflate(rows, 0.0, n, period)
-    ts = fourier.sample_grid(HYPERPLANE_GRID)
-    nu1, nu2 = fourier.frequencies(Kd + K), fourier.frequencies(Ks)
-    h = fourier.phase_matrix(ts, Kd + K) @ q @ fourier.phase_matrix(ts, Ks).T
-    mass = np.abs(q).sum()
-    imag, h = np.abs(h.imag).max(), h.real
-    slack = 0.5 * ts[1] * (np.abs(q) * np.add.outer(np.abs(nu1),
-                                                     np.abs(nu2))).sum()
-    rounding = 8 * np.finfo(float).eps * mass * (
-        q.size + ts[-1] * (nu1[-1] + nu2[-1]))
-    lo, hi = float(h.min()), float(h.max())
-    margin = max(lo, -hi)       # min|h| when h has one sign
-    if remainder > tol.rank_rel or imag > tol.rank_rel * mass:
-        _log.debug("osculating-hyperplane certificate: not decided, "
-                   "deflation remainder %.3g, |Im h| %.3g", remainder, imag)
-        return False, None
-    if margin > slack + rounding:
-        _log.debug("pair scan %s: certified by osculating-hyperplane "
-                   "positivity, covers %s; margin %.3g over slack %.3g and "
-                   "rounding %.3g on a %dx%d grid, deflation remainder %.3g",
-                   (1, n - 1), (n - 1, 1), margin, slack, rounding,
-                   HYPERPLANE_GRID, HYPERPLANE_GRID, remainder)
-        return True, None
-    if lo < -rounding and hi > rounding:
-        t1, s = _zero_between_cells(h, q, ts, nu1, nu2)
-        _log.debug("osculating-hyperplane certificate: h changes sign, "
-                   "range [%.3g, %.3g]", lo, hi)
-        return False, {"moments": (projective.fold(t1, period),
-                                   projective.fold(t1 + s, period)),
-                       "h_range": (lo, hi)}
-    _log.debug("osculating-hyperplane certificate: not decided, h in "
-               "[%.3g, %.3g], margin %.3g under slack %.3g and rounding "
-               "%.3g", lo, hi, margin, slack, rounding)
-    return False, None
+    if len(m) == 1:
+        return m[0][0]
+    terms = []
+    for perm in itertools.permutations(range(len(m))):
+        term = functools.reduce(operator.mul,
+                                (m[p][j] for j, p in enumerate(perm)))
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        terms.append(-term if signed and odd else term)
+    return functools.reduce(operator.add, terms)
 
 
-def _zero_between_cells(h, q, ts, nu1, nu2):
-    """(t1, s) with h = 0, bisected between neighbors of opposite sign.
+def _wronskian_coeffs(d):
+    """Coefficients of W = det d, from its values on a grid just above Nyquist.
 
-    h holds the grid values; the first neighboring pair along s with
-    opposite signs is taken, else the first along t1.
+    d[i][j] holds the (t1, s) coefficients of the i-th s-derivative of g_j;
+    each term of the determinant multiplies k of them, so spans add.  A
+    1 x 1 determinant is its entry.
     """
-    pos = h > 0
-    for axis in (1, 0):
-        cells = np.argwhere(pos != np.roll(pos, -1, axis=axis))
-        if len(cells):
-            break
-    i, j = cells[0]
-    shift = np.array([0.0, 1.0] if axis == 1 else [1.0, 0.0])
-    start = np.array([ts[i], ts[j]])
-    near, far = 0.0, ts[1]
+    k = len(d)
+    if k == 1:
+        return d[0][0]
+    shape = tuple(k * (m - 1) + 1 for m in d[0][0].shape)
+
+    def values(c):
+        pad = [((m - e) // 2,) * 2 for m, e in zip(shape, c.shape)]
+        return np.fft.ifft2(np.fft.ifftshift(np.pad(c, pad)), norm="forward")
+
+    w = _leibniz([[values(c) for c in row] for row in d])
+    return np.fft.fftshift(np.fft.fft2(w, norm="forward"))
+
+
+def _wronskian(d, e1, e2):
+    """Complex W from the phases e1 (..., A, T) of t1 and e2 (..., S, B) of s.
+
+    The result has shape (..., A, B): rows along t1, columns along s.
+    """
+    return _leibniz([[e1 @ c @ e2 for c in row] for row in d])
+
+
+def _phases(t, K):
+    """fourier.phase_matrix(t, K), with one exponential per distinct t."""
+    u, i = np.unique(t, return_inverse=True)
+    return fourier.phase_matrix(u, K)[i.reshape(np.shape(t))]
+
+
+def _bisect(value, start, shift, length, positive):
+    """start + x * shift, 0 < x < length, where value changes sign.
+
+    (value > 0) is `positive` at start and not at start + length * shift.
+    """
+    near, far = 0.0, length
     for _ in range(60):
         mid = 0.5 * (near + far)
-        t1, s = start + mid * shift
-        value = np.real(np.exp(1j * t1 * nu1) @ q @ np.exp(1j * s * nu2))
-        if (value > 0) == pos[i, j]:
+        if (value(*(start + mid * shift)) > 0) == positive:
             near = mid
         else:
             far = mid
-    t1, s = start + 0.5 * (near + far) * shift
-    return float(t1), float(s)
+    return start + 0.5 * (near + far) * shift
+
+
+def _wronskian_certificate(curve, k, tol):
+    """Prove that no (k, n-k) or (n-k, k) intersection drops rank.
+
+    The covectors gamma*^(j)(t1), j < k, span the annihilator of the
+    codimension-k osculating subspace at t1, and each pairing
+    <gamma*^(j)(t1), gamma(t1 + s)> vanishes to order n-k+1 at every s in
+    P*Z (P the projective period).  So g_j = pairing / sin^(n-k+1)(pi s/P)
+    is a trig polynomial, and so is W(t1, s) = det[d^i g_j / ds^i], i, j < k.
+    A (k, n-k) rank drop at (t1, t1 + s) puts both subspaces in a hyperplane
+    of the pencil that meets the curve to order k+1 at t1 + s, and W
+    vanishes there.  A zero-free W rules out every (k, n-k) and (n-k, k)
+    rank drop over the whole moment torus, near the diagonal too.  A zero
+    of W gives a hyperplane through the osculating subspace at t1 that
+    meets the curve n-k+1 times there and k times at t1 + s, n+1 in all,
+    so the curve is not convex.  For k = 1, W is h = <gamma*(t1),
+    gamma(t1 + s)> / sin^n(pi s/P), and a zero-free h says that no
+    osculating hyperplane meets the curve again.  This is the Wronskian
+    test for extended Chebyshev systems (Karlin and Studden, Tchebycheff
+    Systems, 1966).
+
+    W is the determinant of the g values on a HYPERPLANE_GRID^2 grid over
+    the 4pi x 4pi lift; its coefficients W_c come from the determinant on a
+    grid just above its Nyquist rate.  W has no zero when every grid value
+    has one sign and min|W| exceeds half a grid step times
+    sum |W_c| (|nu_t1| + |nu_s|), a bound on how far W moves between grid
+    points, plus the rounding bound 8 k eps M (coefficients of one g +
+    largest phase argument), M the permanent of the masses sum |d^i g_j|.
+    Cells whose |W| lies under that slack are refined 4 x 4, each level
+    quartering the step and the slack, for at most REFINE_DEPTH levels of
+    at most REFINE_CELLS cells.  Returns (certified, witness).  witness is
+    a zero of W when W takes both signs beyond the rounding bound, else
+    None.  Neither holds unless the deflation remainders (relative to the
+    largest coefficient of each pairing) and Im W (relative to M) stay
+    below tol.rank_rel.  Never raises; a composition it cannot decide is
+    left to the pair scan.
+    """
+    n, K, period = curve.n, curve.K, curve.projective_period
+    dual, parts = curve.dual_coeffs, (k, n - k)
+    Kd = fourier.halfspan(dual)
+    kind = "osculating-hyperplane" if k == 1 else "Wronskian"
+    turns = round(4.0 * np.pi / period)     # periods in the 4pi lift
+    Ks = K - turns * (n - k + 1) // 2
+    if Ks < 0:
+        _log.debug("%s certificate %s: the pairing has span %d, below its "
+                   "%d forced zeros", kind, parts, 2 * K, turns * (n - k + 1))
+        return False, None
+    # row m of each pairing in (t1, s) collects G[m - b, b]
+    qs, remainder = [], 0.0
+    rows = np.zeros((2 * (Kd + K) + 1, 2 * K + 1), complex)
+    for j in range(k):
+        pairing = (dual * (1j * fourier.frequencies(Kd)) ** j).T @ curve.coeffs
+        for b in range(2 * K + 1):
+            rows[b:b + 2 * Kd + 1, b] = pairing[:, b]
+        q, rem = fourier.deflate(rows, 0.0, n - k + 1, period)
+        qs.append(q)
+        remainder = max(remainder, rem)
+    nu1, nu2 = fourier.frequencies(Kd + K), fourier.frequencies(Ks)
+    d = [[q * (1j * nu2) ** i for q in qs] for i in range(k)]
+    ts = fourier.sample_grid(HYPERPLANE_GRID)
+    p1, p2 = fourier.phase_matrix(ts, Kd + K), fourier.phase_matrix(ts, Ks)
+    w = np.empty((len(ts), len(ts)), complex)
+    for r in range(0, len(ts), 64):     # keeps the k^2 value grids small
+        w[r:r + 64] = _wronskian(d, p1[r:r + 64], p2.T)
+    imag, w = np.abs(w.imag).max(), w.real
+    mass = _leibniz([[np.abs(c).sum() for c in row] for row in d], signed=False)
+    wc = _wronskian_coeffs(d)
+    slack = 0.5 * ts[1] * (np.abs(wc) * np.add.outer(
+        np.abs(fourier.frequencies(k * (Kd + K))),
+        np.abs(fourier.frequencies(k * Ks)))).sum()
+    rounding = 8 * k * np.finfo(float).eps * mass * (
+        qs[0].size + ts[-1] * (nu1[-1] + nu2[-1]))
+    lo, hi = float(w.min()), float(w.max())
+    margin = max(lo, -hi)       # min|W| when W has one sign
+    if remainder > tol.rank_rel or imag > tol.rank_rel * mass:
+        _log.debug("%s certificate %s: not decided, deflation remainder "
+                   "%.3g, |Im W| %.3g", kind, parts, remainder, imag)
+        return False, None
+
+    def zero(start, shift, length, positive):
+        t1, s = _bisect(lambda t1, s: _wronskian(
+            d, np.exp(1j * t1 * nu1), np.exp(1j * s * nu2)).real,
+            start, shift, length, positive)
+        _log.debug("%s certificate %s: W changes sign, range [%.3g, %.3g]",
+                   kind, parts, lo, hi)
+        return False, {"composition": parts,
+                       "moments": (projective.fold(float(t1), period),
+                                   projective.fold(float(t1 + s), period)),
+                       "w_range": (lo, hi)}
+
+    if lo < -rounding and hi > rounding:
+        # the first neighboring grid pair of opposite signs along s, else t1
+        pos = w > 0
+        for axis in (1, 0):
+            cells = np.argwhere(pos != np.roll(pos, -1, axis=axis))
+            if len(cells):
+                break
+        i, j = cells[0]
+        return zero(np.array([ts[i], ts[j]]),
+                    np.array([0.0, 1.0] if axis == 1 else [1.0, 0.0]),
+                    ts[1], pos[i, j])
+    sign = 1.0 if lo > 0 else -1.0
+    # cells under the slack, centred on grid points that stay their roots
+    i, j = (np.nonzero(sign * w <= slack + rounding)
+            if margin <= slack + rounding else ([], []))
+    t1, s = ts[i], ts[j]
+    roots = np.stack((t1, s), axis=1)
+    step, bound, refined, depth = ts[1], slack, 0, 0
+    offsets = np.arange(4) - 1.5
+    while margin > rounding and 0 < len(t1) <= REFINE_CELLS \
+            and depth < REFINE_DEPTH:
+        refined, depth = refined + len(t1), depth + 1
+        step, bound = step / 4, bound / 4
+        t1 = t1[:, None] + step * offsets
+        s = s[:, None] + step * offsets
+        v = sign * np.concatenate([_wronskian(
+            d, _phases(t1[c:c + 1024], Kd + K),
+            _phases(s[c:c + 1024], Ks).swapaxes(1, 2)).real
+            for c in range(0, len(t1), 1024)])
+        wrong = np.argwhere(v < -rounding)
+        if len(wrong):
+            c, a, b = wrong[0]
+            return zero(roots[c], np.array([t1[c, a], s[c, b]]) - roots[c],
+                        1.0, sign > 0)
+        c, a, b = np.nonzero(v <= bound + rounding)
+        t1, s, roots = t1[c, a], s[c, b], roots[c]
+    if margin > rounding and not len(t1):
+        _log.debug("pair scan %s: certified by %s positivity, covers %s; "
+                   "margin %.3g over slack %.3g and rounding %.3g on a %dx%d "
+                   "grid, %d cells refined to depth %d, deflation remainder "
+                   "%.3g", parts, kind, parts[::-1], margin, slack, rounding,
+                   HYPERPLANE_GRID, HYPERPLANE_GRID, refined, depth, remainder)
+        return True, None
+    _log.debug("%s certificate %s: not decided, W in [%.3g, %.3g], margin "
+               "%.3g under slack %.3g and rounding %.3g, %d cells left after "
+               "%d refinement levels", kind, parts, lo, hi, margin, slack,
+               rounding, len(t1), depth)
+    return False, None
 
 
 def check_convex_criterion(curve, samples: int = 500, rng=None,
@@ -350,21 +463,28 @@ def check_convex_criterion(curve, samples: int = 500, rng=None,
     must be a single point.  The rank decision must hold at the working
     tolerance and at ten times the working tolerance, otherwise a precision
     error is raised.  Deterministic checks then hunt for the measure-zero
-    violations random tuples cannot see.  _hyperplane_certificate proves
-    (1, n-1) and (n-1, 1) clean over the whole moment torus, near the
-    diagonal too, when it can; the pair scan covers every composition it
-    did not prove, so a curve with n <= 3 that it certifies needs no scan.
-    If the scan finds no witness but the certificate found an osculating
-    hyperplane that meets the curve again, the criterion fails with that
-    zero of h as its witness.
+    violations random tuples cannot see.  _wronskian_certificate, one call
+    per k <= n/2, proves (k, n-k) and (n-k, k) clean over the whole moment
+    torus, near the diagonal too, when it can.  A random two-part tuple of
+    a proved composition is then a point without a rank decision, and the
+    pair scan covers only the compositions that no certificate proved, so
+    a curve certified for every k runs no scan.  If the scan finds no
+    witness but a certificate found a zero of its Wronskian, a hyperplane
+    that meets the curve more than n times, the criterion fails with the
+    zero of the smallest such k as its witness.
     """
     rng = np.random.default_rng(rng)
     n = curve.n
     period = curve.projective_period
     sep = MOMENT_SEP * period
+    results = [_wronskian_certificate(curve, k, tol)
+               for k in range(1, n // 2 + 1)] if pair_scan else []
+    certified = {k for k, (proved, _) in enumerate(results, 1) if proved}
     for _ in range(samples):
         parts = _random_composition(n, rng)
         moments = projective.separated_moments(len(parts), period, sep, rng)
+        if len(parts) == 2 and min(parts) in certified:
+            continue
         dim = _intersection_dim_stable(curve, parts, moments, tol)
         if dim != 0:
             return ConvexityReport(
@@ -375,17 +495,20 @@ def check_convex_criterion(curve, samples: int = 500, rng=None,
                 notes="osculating intersection is not a point",
             )
     if pair_scan:
-        certified, meets = _hyperplane_certificate(curve, tol)
-        witness = _pair_scan(curve, tol, first=2 if certified else 1)
+        witness = _pair_scan(curve, tol, skip=certified)
         if witness is not None:
             return ConvexityReport(
                 False, samples, witness=witness,
                 notes="pair scan found a rank drop",
             )
+        meets = next((w for _, w in results if w is not None), None)
         if meets is not None:
             return ConvexityReport(
                 False, samples, witness=meets,
-                notes="an osculating hyperplane meets the curve again",
+                notes="an osculating hyperplane meets the curve again"
+                if meets["composition"][0] == 1 else
+                "a hyperplane through an osculating subspace meets the "
+                "curve more than n times",
             )
     scanned = " plus a deterministic pair scan" if pair_scan else ""
     return ConvexityReport(

@@ -19,9 +19,9 @@ from osculant import (
 from osculant import convexity
 from osculant.config import DEFAULT
 from osculant.convexity import (MOMENT_SEP, _annihilators,
-                                _hyperplane_certificate,
                                 _intersection_dim_stable, _pair_scan,
-                                _random_composition, _sigma_block)
+                                _random_composition, _sigma_block,
+                                _wronskian_certificate)
 from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
                              perturbed_circle)
 from osculant.errors import DegeneracyError, PrecisionError
@@ -214,6 +214,32 @@ def test_pair_scan_verdicts_on_random_fourier_curves_are_pinned():
                                             DEFAULT) > 0, key
 
 
+PASS = "all 50 random intersections are points plus a deterministic pair scan"
+SCAN = "pair scan found a rank drop"
+MEETS = "an osculating hyperplane meets the curve again"
+# notes of check_convex_criterion(c, 50, rng=1) before the Wronskian
+# certificate, when only (1, n-1) had a proof and (2, 2) was always scanned
+RANDOM_CRITERION_NOTES = dict(zip(RANDOM_SCAN_VERDICTS, (
+    PASS, SCAN, SCAN, PASS, PASS, PASS,
+    PASS, SCAN, SCAN, SCAN, MEETS, SCAN)))
+CIRCLE_CRITERION_NOTES = {
+    0.05: PASS, 0.09: PASS, 0.098: PASS, 0.1: PASS, 0.1001: MEETS,
+    0.102: MEETS, 0.11: SCAN, 0.2: MEETS, 0.3: SCAN, 0.5: SCAN}
+
+
+def test_criterion_notes_are_pinned(trig, rational):
+    curves = [(key, _random_fourier_curve(*key), notes)
+              for key, notes in RANDOM_CRITERION_NOTES.items()]
+    curves += [(a, perturbed_circle(a), notes)
+               for a, notes in CIRCLE_CRITERION_NOTES.items()]
+    curves += [("space", nonconvex_space_curve(), SCAN)]
+    curves += [(c.model, c, PASS) for n in range(2, 7)
+               for c in (trig[n], rational[n])]
+    for key, c, notes in curves:
+        report = check_convex_criterion(c, 50, rng=1)
+        assert (report.verdict, report.notes) == (notes == PASS, notes), key
+
+
 def test_convexity_checks_leave_scipy_optimize_unloaded():
     # the pair scan refines on its own sigma evaluator, without scipy
     code = """if True:
@@ -268,11 +294,10 @@ def test_pair_scan_logs_one_record_per_composition(trig, caplog):
 
 def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
     caplog.set_level(logging.DEBUG, logger="osculant")
-    check_convex_criterion(trig[4], samples=5, rng=0)
+    assert _pair_scan(trig[4], DEFAULT) is None
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
     assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 3)",
                                                "pair scan (2, 2)"]
-    assert "certified by osculating-hyperplane positivity" in msgs[0]
     assert ("covers (2, 2) by transpose" in msgs[1]
             and "evaluations" in msgs[1] and "smallest refined sigma" in msgs[1])
     refined, skipped = map(int, re.search(
@@ -280,6 +305,14 @@ def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
         msgs[1]).groups())
     assert refined < 12
     assert skipped >= 1
+    # the criterion proves both compositions and scans neither
+    caplog.clear()
+    check_convex_criterion(trig[4], samples=5, rng=0)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 3)",
+                                               "pair scan (2, 2)"]
+    assert "certified by osculating-hyperplane positivity" in msgs[0]
+    assert "certified by Wronskian positivity, covers (2, 2)" in msgs[1]
 
 
 def test_pair_scan_refines_only_local_minima(rational, caplog):
@@ -301,23 +334,92 @@ def test_hyperplane_certificate_on_convex_curves(trig, rational):
                project_iterated(trig[4], (1.0,)).curve,
                perturbed_circle(0.05)]
     for c in curves:
-        assert _hyperplane_certificate(c, DEFAULT) == (True, None), c.model
+        assert _wronskian_certificate(c, 1, DEFAULT) == (True, None), c.model
 
 
 def test_hyperplane_certificate_refuses_nonconvex_curves():
     astroid = build_model("fourier", 2, ASTROID)
     for c in (nonconvex_space_curve(), astroid, perturbed_circle(0.1001),
               perturbed_circle(0.11), perturbed_circle(0.3)):
-        certified, meets = _hyperplane_certificate(c, DEFAULT)
+        certified, meets = _wronskian_certificate(c, 1, DEFAULT)
         assert not certified, c.model
-        lo, hi = meets["h_range"]
+        assert meets["composition"] == (1, c.n - 1)
+        lo, hi = meets["w_range"]
         assert lo < 0 < hi
 
 
+def test_wronskian_certifies_every_composition_of_the_stock_curves(
+        trig, rational):
+    for c in [c for n in range(4, 7) for c in (trig[n], rational[n])] + [
+            dual_curve(rational[4])]:
+        for k in range(2, c.n // 2 + 1):
+            assert _wronskian_certificate(c, k, DEFAULT) == (True, None), \
+                (c.model, k)
+
+
+def test_refinement_certifies_curves_near_the_threshold(caplog):
+    # min|W| lies under the grid's Lipschitz slack on each of these convex
+    # curves; refining only the cells under the slack proves them
+    caplog.set_level(logging.DEBUG, logger="osculant")
+    for c, k in ((perturbed_circle(0.09), 1), (perturbed_circle(0.098), 1),
+                 (_random_fourier_curve(4, 0.05, 0), 2),
+                 (_random_fourier_curve(4, 0.03, 1), 2)):
+        caplog.clear()
+        assert _wronskian_certificate(c, k, DEFAULT) == (True, None), k
+        depth = int(re.search(r"refined to depth (\d+)",
+                              caplog.records[-1].getMessage()).group(1))
+        assert 1 <= depth <= convexity.REFINE_DEPTH
+
+
+def test_wronskian_zero_is_a_hyperplane_meeting_the_curve_n_plus_one_times():
+    c = _random_fourier_curve(4, 0.05, 1)
+    n, k = c.n, 2
+    certified, meets = _wronskian_certificate(c, k, DEFAULT)
+    assert not certified and meets["composition"] == (k, n - k)
+    lo, hi = meets["w_range"]
+    assert lo < 0 < hi
+    t1, t2 = meets["moments"]
+    # the pencil spanned by gamma*^(j)(t1), j < k, has a member that meets
+    # the curve n-k+1 times at t1 and k times at t2
+    pencil = np.array([fourier.evaluate(c.dual_coeffs, t1, order=j)
+                       for j in range(k)])
+    at_t2 = c.jet(t2, k - 1)
+    _, sv, vh = np.linalg.svd(at_t2 @ pencil.T)
+    assert sv[-1] < 1e-9 * sv[0]
+    cov = vh[-1] @ pencil
+    for t, order in ((t1, n - k + 1), (t2, k)):
+        jet = c.jet(t, order - 1)
+        rel = np.abs(jet @ cov) / (np.linalg.norm(jet, axis=1)
+                                   * np.linalg.norm(cov))
+        assert rel.max() < 1e-9, (t, order, rel)
+
+
+def test_certified_curves_run_no_pair_scan(trig, rational, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pair scan ran")
+    monkeypatch.setattr(convexity, "_sigma_block", refuse)
+    for c in (trig[4], dual_curve(rational[4])):
+        report = check_convex_criterion(c, samples=50, rng=1)
+        assert report, c.model
+        assert report.notes.endswith("plus a deterministic pair scan")
+
+
+def test_certified_compositions_need_no_random_rank_decision(rational):
+    # this draw puts two moments 0.0033 apart, where the (k, n-k) rank
+    # decision flips under a 10x tolerance; (1, 3) and (2, 2) are proved,
+    # so the draw is a point without one
+    c = dual_curve(rational[4])
+    rng = np.random.default_rng([13, 62, 2, 1])
+    with pytest.raises(PrecisionError):
+        check_convex_criterion(c, samples=50, rng=rng, pair_scan=False)
+    rng = np.random.default_rng([13, 62, 2, 1])
+    assert check_convex_criterion(c, samples=50, rng=rng)
+
+
 def test_criterion_without_pair_scan_skips_the_certificate(trig, monkeypatch):
-    def refuse(curve, tol):
+    def refuse(curve, k, tol):
         raise AssertionError("certificate ran")
-    monkeypatch.setattr(convexity, "_hyperplane_certificate", refuse)
+    monkeypatch.setattr(convexity, "_wronskian_certificate", refuse)
     assert check_convex_criterion(trig[3], samples=5, rng=0, pair_scan=False)
 
 
@@ -330,7 +432,7 @@ def test_osculating_hyperplane_meeting_the_curve_fails(a):
     report = check_convex_criterion(pc, samples=50, rng=1)
     assert not report
     assert report.notes == "an osculating hyperplane meets the curve again"
-    lo, hi = report.witness["h_range"]
+    lo, hi = report.witness["w_range"]
     assert lo < 0 < hi
     t1, t2 = report.witness["moments"]
     assert 0 < abs(t1 - t2) < pc.projective_period
