@@ -285,20 +285,6 @@ def _wronskian_coeffs(d):
     return np.fft.fftshift(np.fft.fft2(w, norm="forward"))
 
 
-def _wronskian(d, e1, e2):
-    """Complex W from the phases e1 (..., A, T) of t1 and e2 (..., S, B) of s.
-
-    The result has shape (..., A, B): rows along t1, columns along s.
-    """
-    return _leibniz([[e1 @ c @ e2 for c in row] for row in d])
-
-
-def _phases(t, K):
-    """fourier.phase_matrix(t, K), with one exponential per distinct t."""
-    u, i = np.unique(t, return_inverse=True)
-    return fourier.phase_matrix(u, K)[i.reshape(np.shape(t))]
-
-
 def _bisect(value, start, shift, length, positive):
     """start + x * shift, 0 < x < length, where value changes sign.
 
@@ -334,21 +320,27 @@ def _wronskian_certificate(curve, k, tol):
     test for extended Chebyshev systems (Karlin and Studden, Tchebycheff
     Systems, 1966).
 
-    W is the determinant of the g values on a HYPERPLANE_GRID^2 grid over
-    the 4pi x 4pi lift; its coefficients W_c come from the determinant on a
-    grid just above its Nyquist rate.  W has no zero when every grid value
-    has one sign and min|W| exceeds half a grid step times
-    sum |W_c| (|nu_t1| + |nu_s|), a bound on how far W moves between grid
-    points, plus the rounding bound 8 k eps M (coefficients of one g +
-    largest phase argument), M the permanent of the masses sum |d^i g_j|.
-    Cells whose |W| lies under that slack are refined 4 x 4, each level
-    quartering the step and the slack, for at most REFINE_DEPTH levels of
-    at most REFINE_CELLS cells.  Returns (certified, witness).  witness is
-    a zero of W when W takes both signs beyond the rounding bound, else
-    None.  Neither holds unless the deflation remainders (relative to the
-    largest coefficient of each pairing) and Im W (relative to M) stay
-    below tol.rank_rel.  Never raises; a composition it cannot decide is
-    left to the pair scan.
+    W's coefficients W_c come from the determinant of the g values on a
+    grid just above its Nyquist rate (for k = 1, W_c are h's), and every
+    value of W, on the HYPERPLANE_GRID^2 grid over the 4pi x 4pi lift, in
+    refined cells and in bisection, is the phase sum over W_c.  W has no
+    zero when every grid value has one sign and min|W| exceeds half a grid
+    step times sum |W_c| (|nu_t1| + |nu_s|), a bound on how far W moves
+    between grid points, plus the rounding bound 8 k eps M (S + largest
+    phase argument).  Here S is the number of W_c, and M, the permanent of
+    the masses sum |d^i g_j|, bounds sum |W_c|.  A phase sum errs by about
+    4 eps M per term of its two sums and eps M per unit of phase argument;
+    for k >= 2 the FFTs behind W_c add about 4 (k + 1) log2(S) sqrt(S)
+    eps M, under 8 (k - 1) eps M S once S > 100 (S >= 165 on the stock
+    curves).  Against an extended-precision evaluation the grid values err
+    by under 10 eps M.  Cells whose |W| lies under that slack are refined
+    4 x 4, each level quartering the step and the slack, for at most
+    REFINE_DEPTH levels of at most REFINE_CELLS cells.  Returns (certified,
+    witness).  witness is a zero of W when W takes both signs beyond the
+    rounding bound, else None.  Neither holds unless the deflation
+    remainders (relative to the largest coefficient of each pairing) and
+    Im W (relative to M) stay below tol.rank_rel.  Never raises; a
+    composition it cannot decide is left to the pair scan.
     """
     n, K, period = curve.n, curve.K, curve.projective_period
     dual, parts = curve.dual_coeffs, (k, n - k)
@@ -370,21 +362,25 @@ def _wronskian_certificate(curve, k, tol):
         q, rem = fourier.deflate(rows, 0.0, n - k + 1, period)
         qs.append(q)
         remainder = max(remainder, rem)
-    nu1, nu2 = fourier.frequencies(Kd + K), fourier.frequencies(Ks)
-    d = [[q * (1j * nu2) ** i for q in qs] for i in range(k)]
+    d = [[q * (1j * fourier.frequencies(Ks)) ** i for q in qs]
+         for i in range(k)]
+    wc = _wronskian_coeffs(d)
+    K1, K2 = (m // 2 for m in wc.shape)     # k (Kd + K) and k Ks
+    nu1, nu2 = fourier.frequencies(K1), fourier.frequencies(K2)
+
+    def values(t1, s):
+        """Complex W at t1 (..., A) and s (..., B), in shape (..., A, B)."""
+        return fourier.phase_matrix(t1, K1) @ wc @ np.swapaxes(
+            fourier.phase_matrix(s, K2), -1, -2)
+
     ts = fourier.sample_grid(HYPERPLANE_GRID)
-    p1, p2 = fourier.phase_matrix(ts, Kd + K), fourier.phase_matrix(ts, Ks)
-    w = np.empty((len(ts), len(ts)), complex)
-    for r in range(0, len(ts), 64):     # keeps the k^2 value grids small
-        w[r:r + 64] = _wronskian(d, p1[r:r + 64], p2.T)
+    w = values(ts, ts)
     imag, w = np.abs(w.imag).max(), w.real
     mass = _leibniz([[np.abs(c).sum() for c in row] for row in d], signed=False)
-    wc = _wronskian_coeffs(d)
     slack = 0.5 * ts[1] * (np.abs(wc) * np.add.outer(
-        np.abs(fourier.frequencies(k * (Kd + K))),
-        np.abs(fourier.frequencies(k * Ks)))).sum()
+        np.abs(nu1), np.abs(nu2))).sum()
     rounding = 8 * k * np.finfo(float).eps * mass * (
-        qs[0].size + ts[-1] * (nu1[-1] + nu2[-1]))
+        wc.size + ts[-1] * (nu1[-1] + nu2[-1]))
     lo, hi = float(w.min()), float(w.max())
     margin = max(lo, -hi)       # min|W| when W has one sign
     if remainder > tol.rank_rel or imag > tol.rank_rel * mass:
@@ -393,9 +389,8 @@ def _wronskian_certificate(curve, k, tol):
         return False, None
 
     def zero(start, shift, length, positive):
-        t1, s = _bisect(lambda t1, s: _wronskian(
-            d, np.exp(1j * t1 * nu1), np.exp(1j * s * nu2)).real,
-            start, shift, length, positive)
+        t1, s = _bisect(lambda t1, s: values([t1], [s])[0, 0].real,
+                        start, shift, length, positive)
         _log.debug("%s certificate %s: W changes sign, range [%.3g, %.3g]",
                    kind, parts, lo, hi)
         return False, {"composition": parts,
@@ -428,9 +423,8 @@ def _wronskian_certificate(curve, k, tol):
         step, bound = step / 4, bound / 4
         t1 = t1[:, None] + step * offsets
         s = s[:, None] + step * offsets
-        v = sign * np.concatenate([_wronskian(
-            d, _phases(t1[c:c + 1024], Kd + K),
-            _phases(s[c:c + 1024], Ks).swapaxes(1, 2)).real
+        v = sign * np.concatenate([
+            values(t1[c:c + 1024], s[c:c + 1024]).real
             for c in range(0, len(t1), 1024)])
         wrong = np.argwhere(v < -rounding)
         if len(wrong):
@@ -466,12 +460,13 @@ def check_convex_criterion(curve, samples: int = 500, rng=None,
     violations random tuples cannot see.  _wronskian_certificate, one call
     per k <= n/2, proves (k, n-k) and (n-k, k) clean over the whole moment
     torus, near the diagonal too, when it can.  A random two-part tuple of
-    a proved composition is then a point without a rank decision, and the
-    pair scan covers only the compositions that no certificate proved, so
-    a curve certified for every k runs no scan.  If the scan finds no
-    witness but a certificate found a zero of its Wronskian, a hyperplane
-    that meets the curve more than n times, the criterion fails with the
-    zero of the smallest such k as its witness.
+    a proved composition is then counted among the samples as a point
+    without a rank decision of its own, so the notes' count includes such
+    draws.  The pair scan covers only the compositions that no certificate
+    proved, so a curve certified for every k runs no scan.  If the scan
+    finds no witness but a certificate found a zero of its Wronskian, a
+    hyperplane that meets the curve more than n times, the criterion fails
+    with the zero of the smallest such k as its witness.
     """
     rng = np.random.default_rng(rng)
     n = curve.n

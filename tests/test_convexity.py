@@ -371,6 +371,43 @@ def test_refinement_certifies_curves_near_the_threshold(caplog):
         assert 1 <= depth <= convexity.REFINE_DEPTH
 
 
+def test_wronskian_rounding_bound_covers_the_grid_error(
+        trig, rational, monkeypatch, caplog):
+    # the certificate evaluates W from coefficients an FFT gives it; an
+    # extended-precision determinant of the g values is the reference
+    seen = {}
+
+    def spy(d):
+        seen["d"], seen["wc"] = d, wronskian_coeffs(d)
+        return seen["wc"]
+    wronskian_coeffs = convexity._wronskian_coeffs
+    monkeypatch.setattr(convexity, "_wronskian_coeffs", spy)
+    caplog.set_level(logging.DEBUG, logger="osculant")
+
+    def phases(ts, m):
+        nu = np.arange(-(m // 2), m // 2 + 1, dtype=np.longdouble) / 2
+        return np.exp(1j * np.multiply.outer(ts.astype(np.longdouble), nu))
+    ts = fourier.sample_grid(convexity.HYPERPLANE_GRID)
+    cases = [(c, k) for c in [c for n in range(4, 7)
+                              for c in (trig[n], rational[n])]
+             + [dual_curve(rational[4])] for k in range(2, c.n // 2 + 1)]
+    cases += [(perturbed_circle(0.098), 1),
+              (_random_fourier_curve(4, 0.05, 0), 2),
+              (_random_fourier_curve(4, 0.03, 1), 2)]
+    for c, k in cases:
+        caplog.clear()
+        assert _wronskian_certificate(c, k, DEFAULT)[0], (c.model, k)
+        rounding = float(re.search(r"rounding ([^ ]+) on",
+                                   caplog.records[-1].getMessage()).group(1))
+        d, wc = seen["d"], seen["wc"]
+        w = (fourier.phase_matrix(ts, wc.shape[0] // 2) @ wc
+             @ fourier.phase_matrix(ts, wc.shape[1] // 2).T).real
+        e1, e2 = (phases(ts, m) for m in d[0][0].shape)
+        exact = convexity._leibniz([[e1 @ g @ e2.T for g in row]
+                                    for row in d]).real
+        assert np.abs(w - exact).max() < rounding, (c.model, k)
+
+
 def test_wronskian_zero_is_a_hyperplane_meeting_the_curve_n_plus_one_times():
     c = _random_fourier_curve(4, 0.05, 1)
     n, k = c.n, 2
