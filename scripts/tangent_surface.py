@@ -6,8 +6,7 @@ in any mesh viewer. Higher dimensions fall back to CSV/JSON point clouds.
 
 import argparse
 
-from osculant import export, sample_discriminant
-from osculant.cli import _load_curve
+from osculant import curve_from_spec, export, sample_discriminant
 
 
 def main():
@@ -20,7 +19,7 @@ def main():
     ap.add_argument("--out", default="discriminant.obj")
     args = ap.parse_args()
 
-    c = _load_curve(args.curve)
+    c = curve_from_spec(args.curve)
     s = sample_discriminant(c, t_steps=args.t_steps,
                             ruling_steps=args.ruling_steps)
     path = export(s, args.format, args.out)

@@ -9,9 +9,8 @@ import argparse
 
 import numpy as np
 
-from osculant import (count_roots, realize, rescale_moments, tangency_data,
-                      transport)
-from osculant.cli import _load_curve
+from osculant import (count_roots, curve_from_spec, realize, rescale_moments,
+                      tangency_data, transport)
 from osculant.errors import OsculantError
 
 
@@ -23,7 +22,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    c1, c2 = _load_curve(args.curve), _load_curve(args.curve2)
+    c1, c2 = curve_from_spec(args.curve), curve_from_spec(args.curve2)
     if c1.n != c2.n:
         raise SystemExit("curves must share the ambient dimension")
     rng = np.random.default_rng(args.seed)

@@ -7,7 +7,6 @@ hulls, the root filtration of the ambient space with its transport map, and
 a sampled model of the discriminant hypersurface for plotting.
 """
 
-from .config import DEFAULT, Tolerances
 from .convexity import (ConvexityReport, check_convex_criterion,
                         check_convex_sampling)
 from .curves import (ParamCurve, build_model, curve_from_spec, dual_curve,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryForm",
     "ConvexityReport",
-    "DEFAULT",
     "DegeneracyError",
     "EllipticHull",
     "FiberPoint",
@@ -49,7 +47,6 @@ __all__ = [
     "RuledSample",
     "StratumData",
     "Subspace",
-    "Tolerances",
     "build_model",
     "check_convex_criterion",
     "check_convex_sampling",

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .convexity import check_convex_criterion, check_convex_sampling
-from .curves import ParamCurve, build_model, curve_from_spec
+from .curves import curve_from_spec
 from .errors import OnDiscriminantError, OsculantError, PrecisionError
 from .mesh import export, sample_discriminant
 from .projection import project_iterated
@@ -31,21 +29,12 @@ EXIT_FAIL = 1
 EXIT_PRECISION = 2
 EXIT_USAGE = 3
 
-_MODEL_SHORTHAND = re.compile(r"^(trig_convex|rational_normal):(\d+)$")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _load_curve(spec: str) -> ParamCurve:
-    m = _MODEL_SHORTHAND.match(spec)
-    if m:
-        return build_model(m.group(1), int(m.group(2)))
-    return curve_from_spec(spec)
 
 
 def _parse_point(raw: str, dim: int) -> np.ndarray:
@@ -90,13 +79,11 @@ def _report(rep) -> dict:
 
 
 def _cmd_check_convex(ns) -> int:
-    c = _load_curve(ns.curve)
+    c = curve_from_spec(ns.curve)
     samp = check_convex_sampling(c, trials=ns.trials,
-                                 rng=np.random.default_rng(ns.seed),
-                                 tol=ns.tol)
+                                 rng=np.random.default_rng(ns.seed))
     crit = check_convex_criterion(c, samples=ns.samples,
-                                  rng=np.random.default_rng(ns.seed + 1),
-                                  tol=ns.tol)
+                                  rng=np.random.default_rng(ns.seed + 1))
     ok = bool(samp) and bool(crit)
     _emit({"verdict": "pass" if ok else "fail",
            "sampling": _report(samp), "criterion": _report(crit)})
@@ -104,20 +91,19 @@ def _cmd_check_convex(ns) -> int:
 
 
 def _cmd_roots(ns) -> int:
-    c = _load_curve(ns.curve)
+    c = curve_from_spec(ns.curve)
     p = _parse_point(ns.point, c.n + 1)
-    rc = count_roots(c, p, ns.tol)
+    rc = count_roots(c, p)
     _emit({"total": rc.total,
            "tangencies": [[t, m] for t, m in rc.tangencies]})
     return EXIT_PASS
 
 
 def _cmd_project(ns) -> int:
-    c = _load_curve(ns.curve)
-    child = project_iterated(c, ns.moments, ns.tol)
+    c = curve_from_spec(ns.curve)
+    child = project_iterated(c, ns.moments)
     rep = check_convex_sampling(child.curve, trials=max(100, ns.trials // 5),
-                                rng=np.random.default_rng(ns.seed),
-                                tol=ns.tol)
+                                rng=np.random.default_rng(ns.seed))
     rng = np.random.default_rng(ns.seed + 1)
     k = len(ns.moments)
     drops = []
@@ -125,8 +111,8 @@ def _cmd_project(ns) -> int:
         # the recursion applies to points of the intersection subspace
         v = child.lift_point(rng.standard_normal(child.curve.n + 1))
         try:
-            before = count_roots(c, v, ns.tol).total
-            after = child.count_roots(v, ns.tol).total
+            before = count_roots(c, v).total
+            after = child.count_roots(v).total
         except OsculantError:
             continue
         drops.append(before - after)
@@ -140,20 +126,20 @@ def _cmd_project(ns) -> int:
 
 
 def _cmd_components(ns) -> int:
-    c = _load_curve(ns.curve)
-    _emit(component_census(c, ns.samples, seed=ns.seed, tol=ns.tol))
+    c = curve_from_spec(ns.curve)
+    _emit(component_census(c, ns.samples, seed=ns.seed))
     return EXIT_PASS
 
 
 def _cmd_hull(ns) -> int:
-    c = _load_curve(ns.curve)
+    c = curve_from_spec(ns.curve)
     rng = np.random.default_rng(ns.seed)
     probes = [rng.standard_normal(c.n + 1) for _ in range(20)]
     center = c.hull.center.coords if c.n % 2 == 0 else None
 
     def probe(v):
         try:
-            return elliptic_hull_membership(c, normalize(v), ns.tol)
+            return elliptic_hull_membership(c, normalize(v))
         except OsculantError:
             return None
 
@@ -168,10 +154,10 @@ def _cmd_hull(ns) -> int:
 
 
 def _cmd_mesh(ns) -> int:
-    c = _load_curve(ns.curve)
+    c = curve_from_spec(ns.curve)
     if ns.out is None:
         raise ValueError("mesh needs --out")
-    s = sample_discriminant(c, ns.t_steps, ns.ruling_steps, ns.tol)
+    s = sample_discriminant(c, ns.t_steps, ns.ruling_steps)
     path = export(s, ns.format, ns.out)
     _emit({"written": str(path), "resolution": list(s.resolution),
            "format": ns.format})
@@ -179,15 +165,15 @@ def _cmd_mesh(ns) -> int:
 
 
 def _cmd_transport(ns) -> int:
-    c1 = _load_curve(ns.curve)
-    c2 = _load_curve(ns.curve2)
+    c1 = curve_from_spec(ns.curve)
+    c2 = curve_from_spec(ns.curve2)
     p = _parse_point(ns.point, c1.n + 1)
-    d1 = tangency_data(c1, p, ns.tol)
+    d1 = tangency_data(c1, p)
     if c1.n != c2.n:
         raise ValueError("transport needs curves of the same ambient dimension")
-    q = realize(c2, rescale_moments(d1, c1, c2), ns.tol)
-    d2 = tangency_data(c2, q.coords, ns.tol)
-    back = realize(c1, rescale_moments(d2, c2, c1), ns.tol)
+    q = realize(c2, rescale_moments(d1, c1, c2))
+    d2 = tangency_data(c2, q.coords)
+    back = realize(c1, rescale_moments(d2, c2, c1))
     a = normalize(p).coords
     b = back.coords / np.linalg.norm(back.coords)
     rt = float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
@@ -201,7 +187,7 @@ def _cmd_transport(ns) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-# each command and the arguments it reads besides --curve and the tolerances
+# each command and the arguments it reads besides --curve
 _COMMANDS = {
     "check-convex": (_cmd_check_convex, ("--seed", "--trials", "--samples")),
     "roots": (_cmd_roots, ("point",)),
@@ -219,8 +205,6 @@ _ARGUMENTS = {
     "--ruling-steps": dict(type=int, default=24),
     "--format": dict(default="csv", choices=("obj", "csv", "json")),
     "--out": {},
-    "--tol-rank": dict(type=float),
-    "--tol-zero": dict(type=float),
     "point": dict(help="comma-separated homogeneous coordinates"),
     "moments": dict(nargs="+", type=float),
     "curve2": dict(help="target curve spec or shorthand"),
@@ -236,16 +220,9 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(name)
         sp.add_argument("--curve", required=True,
                         help="curve spec JSON path, or model:n shorthand")
-        for arg in args + ("--tol-rank", "--tol-zero"):
+        for arg in args:
             sp.add_argument(arg, **_ARGUMENTS[arg])
     return p
-
-
-def _tolerances(ns) -> Tolerances:
-    """DEFAULT with the --tol-rank and --tol-zero overrides applied."""
-    overrides = {k: v for k, v in (("rank_rel", ns.tol_rank),
-                                   ("zero_rel", ns.tol_zero)) if v is not None}
-    return DEFAULT.with_overrides(**overrides)
 
 
 def main(argv=None) -> int:
@@ -254,7 +231,6 @@ def main(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    ns.tol = _tolerances(ns)
     try:
         return _COMMANDS[ns.command][0](ns)
     except (PrecisionError, OnDiscriminantError) as e:

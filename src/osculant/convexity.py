@@ -32,8 +32,8 @@ from typing import Any
 import numpy as np
 
 from . import fourier, projective
-from .config import DEFAULT, Tolerances
 from .errors import PrecisionError
+from .projective import RANK_REL
 from .tangency import count_roots
 
 _log = logging.getLogger("osculant")
@@ -60,8 +60,8 @@ class ConvexityReport:
         return self.verdict
 
 
-def check_convex_sampling(curve, trials: int = 1000, rng=None,
-                          tol: Tolerances = DEFAULT) -> ConvexityReport:
+def check_convex_sampling(curve, trials: int = 1000,
+                          rng=None) -> ConvexityReport:
     """Test the root-count bound over random points of projective space.
 
     Points are drawn from the rotation-invariant distribution (normalized
@@ -79,7 +79,7 @@ def check_convex_sampling(curve, trials: int = 1000, rng=None,
     while done < trials:
         p = rng.standard_normal(n + 1)
         try:
-            rc = count_roots(curve, p, tol)
+            rc = count_roots(curve, p)
         except PrecisionError:
             retries += 1
             if retries > retry_cap:
@@ -108,16 +108,16 @@ def _random_composition(n: int, rng) -> tuple[int, ...]:
     return tuple(int(x) for x in np.diff(np.concatenate(([0], cuts, [n]))))
 
 
-def _annihilators(curve, ts, k, tol) -> np.ndarray:
+def _annihilators(curve, ts, k) -> np.ndarray:
     """Annihilators of the codimension-k osculating subspaces at moments ts.
 
     Shape (len(ts), k, n+1): the trailing k rows of each osculating frame.
     """
     n = curve.n
-    return projective.osculating_frame(curve.jet_grid(ts, n - k), tol)[:, n - k + 1:]
+    return projective.osculating_frame(curve.jet_grid(ts, n - k))[:, n - k + 1:]
 
 
-def _sigma_block(curve, k, ts1, ts2, scan_sep, tol) -> np.ndarray:
+def _sigma_block(curve, k, ts1, ts2, scan_sep) -> np.ndarray:
     """sigma of the composition (k, n-k) on the moment grid ts1 x ts2.
 
     sigma[i, j] is the smallest singular value of the stacked annihilators
@@ -126,7 +126,7 @@ def _sigma_block(curve, k, ts1, ts2, scan_sep, tol) -> np.ndarray:
     this block transposed.
     """
     n = curve.n
-    a1, a2 = _annihilators(curve, ts1, k, tol), _annihilators(curve, ts2, n - k, tol)
+    a1, a2 = _annihilators(curve, ts1, k), _annihilators(curve, ts2, n - k)
     shape = (len(ts1), len(ts2))
     stacked = np.concatenate((np.broadcast_to(a1[:, None], (*shape, k, n + 1)),
                               np.broadcast_to(a2[None, :], (*shape, n - k, n + 1))),
@@ -138,7 +138,7 @@ def _sigma_block(curve, k, ts1, ts2, scan_sep, tol) -> np.ndarray:
     return sig
 
 
-def _pattern_search(curve, k, x, step, scan_sep, tol):
+def _pattern_search(curve, k, x, step, scan_sep):
     """Local minimum of sigma of (k, n-k) near moments x; returns (x, sigma, values).
 
     Each step evaluates a 5x5 window of spacing step centred on x and moves
@@ -150,7 +150,7 @@ def _pattern_search(curve, k, x, step, scan_sep, tol):
     sig, steps = np.inf, 0
     while step >= 1e-13 and steps < 400:
         window = _sigma_block(curve, k, x[0] + step * offsets,
-                              x[1] + step * offsets, scan_sep, tol)
+                              x[1] + step * offsets, scan_sep)
         steps += 1
         sig = float(window.min())
         if window[2, 2] <= sig:
@@ -161,12 +161,12 @@ def _pattern_search(curve, k, x, step, scan_sep, tol):
     return x, sig, 25 * steps
 
 
-def _intersection_dim_stable(curve, parts, moments, tol) -> int:
+def _intersection_dim_stable(curve, parts, moments) -> int:
     n = curve.n
-    anns = [projective.osculating_frame(curve.jet(float(t), n - k), tol)[n - k + 1:]
+    anns = [projective.osculating_frame(curve.jet(float(t), n - k))[n - k + 1:]
             for k, t in zip(parts, moments)]
     dim, dim10 = (len(null) - 1 for null in projective.joint_null(
-        anns, tol.rank_rel, 10 * tol.rank_rel))
+        anns, RANK_REL, 10 * RANK_REL))
     if dim != dim10:
         raise PrecisionError(
             f"intersection dimension flips from {dim} to {dim10} under a "
@@ -175,7 +175,7 @@ def _intersection_dim_stable(curve, parts, moments, tol) -> int:
     return dim
 
 
-def _pair_scan(curve, tol, skip=()):
+def _pair_scan(curve, skip=()):
     """Deterministic sweep for rank drops of two-part intersections.
 
     Scans the compositions (k, n-k) with k <= n-k and k not in skip.  Near
@@ -204,7 +204,7 @@ def _pair_scan(curve, tol, skip=()):
         if k1 in skip:
             continue
         parts = (k1, n - k1)
-        sig = _sigma_block(curve, k1, grid, grid, scan_sep, tol)
+        sig = _sigma_block(curve, k1, grid, grid, scan_sep)
         trigger = 0.15 * np.median(sig[np.isfinite(sig)])
         neighborhood = np.stack([
             np.roll(np.roll(sig, di, axis=0), dj, axis=1)
@@ -225,14 +225,14 @@ def _pair_scan(curve, tol, skip=()):
                 continue
             starts.add((i, j))
             x, fun, values = _pattern_search(curve, k1, (grid[i], grid[j]),
-                                             grid[1], scan_sep, tol)
+                                             grid[1], scan_sep)
             refined, evals = refined + 1, evals + values
             best = min(best, fun)
             if fun >= _SIGMA_VIOLATION:
                 continue
             t1, t2 = (projective.fold(t, period) for t in x)
             try:
-                dim = _intersection_dim_stable(curve, parts, (t1, t2), tol)
+                dim = _intersection_dim_stable(curve, parts, (t1, t2))
             except PrecisionError:
                 continue
             if dim != 0:
@@ -300,7 +300,7 @@ def _bisect(value, start, shift, length, positive):
     return start + 0.5 * (near + far) * shift
 
 
-def _wronskian_certificate(curve, k, tol):
+def _wronskian_certificate(curve, k):
     """Prove that no (k, n-k) or (n-k, k) intersection drops rank.
 
     The covectors gamma*^(j)(t1), j < k, span the annihilator of the
@@ -339,7 +339,7 @@ def _wronskian_certificate(curve, k, tol):
     witness).  witness is a zero of W when W takes both signs beyond the
     rounding bound, else None.  Neither holds unless the deflation
     remainders (relative to the largest coefficient of each pairing) and
-    Im W (relative to M) stay below tol.rank_rel.  Never raises; a
+    Im W (relative to M) stay below RANK_REL.  Never raises; a
     composition it cannot decide is left to the pair scan.
     """
     n, K, period = curve.n, curve.K, curve.projective_period
@@ -383,7 +383,7 @@ def _wronskian_certificate(curve, k, tol):
         wc.size + ts[-1] * (nu1[-1] + nu2[-1]))
     lo, hi = float(w.min()), float(w.max())
     margin = max(lo, -hi)       # min|W| when W has one sign
-    if remainder > tol.rank_rel or imag > tol.rank_rel * mass:
+    if remainder > RANK_REL or imag > RANK_REL * mass:
         _log.debug("%s certificate %s: not decided, deflation remainder "
                    "%.3g, |Im W| %.3g", kind, parts, remainder, imag)
         return False, None
@@ -448,39 +448,46 @@ def _wronskian_certificate(curve, k, tol):
 
 
 def check_convex_criterion(curve, samples: int = 500, rng=None,
-                           tol: Tolerances = DEFAULT,
                            pair_scan: bool = True) -> ConvexityReport:
     """Transversality of osculating-subspace intersections.
 
     For random compositions (k_1, ..., k_r) of n and separated moment
     tuples, the intersection of the subspaces of codimension k_i at t_i
-    must be a single point.  The rank decision must hold at the working
-    tolerance and at ten times the working tolerance, otherwise a precision
-    error is raised.  Deterministic checks then hunt for the measure-zero
-    violations random tuples cannot see.  _wronskian_certificate, one call
-    per k <= n/2, proves (k, n-k) and (n-k, k) clean over the whole moment
-    torus, near the diagonal too, when it can.  A random two-part tuple of
-    a proved composition is then counted among the samples as a point
-    without a rank decision of its own, so the notes' count includes such
-    draws.  The pair scan covers only the compositions that no certificate
-    proved, so a curve certified for every k runs no scan.  If the scan
-    finds no witness but a certificate found a zero of its Wronskian, a
-    hyperplane that meets the curve more than n times, the criterion fails
-    with the zero of the smallest such k as its witness.
+    must be a single point.  The rank decision must hold at RANK_REL and
+    at ten times RANK_REL, otherwise a precision error is raised; when a
+    certificate has already found a zero of its Wronskian, the draws stop
+    there instead and the checks below decide.  Deterministic checks hunt
+    for the measure-zero violations random tuples cannot see.
+    _wronskian_certificate, one call per k <= n/2, proves (k, n-k) and
+    (n-k, k) clean over the whole moment torus, near the diagonal too,
+    when it can.  A random two-part tuple of a proved composition is then
+    counted among the samples as a point without a rank decision of its
+    own, so the notes' count includes such draws.  The pair scan covers
+    only the compositions that no certificate proved, so a curve certified
+    for every k runs no scan.  If the scan finds no witness but a
+    certificate found a zero of its Wronskian, a hyperplane that meets the
+    curve more than n times, the criterion fails with the zero of the
+    smallest such k as its witness.
     """
     rng = np.random.default_rng(rng)
     n = curve.n
     period = curve.projective_period
     sep = MOMENT_SEP * period
-    results = [_wronskian_certificate(curve, k, tol)
+    results = [_wronskian_certificate(curve, k)
                for k in range(1, n // 2 + 1)] if pair_scan else []
     certified = {k for k, (proved, _) in enumerate(results, 1) if proved}
+    meets = next((w for _, w in results if w is not None), None)
     for _ in range(samples):
         parts = _random_composition(n, rng)
         moments = projective.separated_moments(len(parts), period, sep, rng)
         if len(parts) == 2 and min(parts) in certified:
             continue
-        dim = _intersection_dim_stable(curve, parts, moments, tol)
+        try:
+            dim = _intersection_dim_stable(curve, parts, moments)
+        except PrecisionError:
+            if meets is None:
+                raise
+            break
         if dim != 0:
             return ConvexityReport(
                 False, samples,
@@ -490,13 +497,12 @@ def check_convex_criterion(curve, samples: int = 500, rng=None,
                 notes="osculating intersection is not a point",
             )
     if pair_scan:
-        witness = _pair_scan(curve, tol, skip=certified)
+        witness = _pair_scan(curve, skip=certified)
         if witness is not None:
             return ConvexityReport(
                 False, samples, witness=witness,
                 notes="pair scan found a rank drop",
             )
-        meets = next((w for _, w in results if w is not None), None)
         if meets is not None:
             return ConvexityReport(
                 False, samples, witness=meets,

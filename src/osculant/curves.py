@@ -17,13 +17,14 @@ fourier            caller-supplied harmonic coefficients (negative controls).
 from __future__ import annotations
 
 import json
+import re
 from functools import cached_property
 
 import numpy as np
 
 from . import fourier
-from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError
+from .projective import RANK_REL
 
 
 class ParamCurve:
@@ -305,11 +306,17 @@ def nonconvex_space_curve() -> ParamCurve:
 
 
 def curve_from_spec(spec) -> ParamCurve:
-    """Build a curve from a JSON object or a path to one.
+    """Build a curve from a JSON object, a path to one, or model:n shorthand.
 
     Schema: {"model": "trig_convex"|"rational_normal"|"fourier",
              "n": int, "coeffs": [[...], ...]}  (coeffs only for fourier).
+    The shorthand "trig_convex:4" or "rational_normal:3" names a stock
+    model; any other string is a path.
     """
+    if isinstance(spec, str):
+        m = re.fullmatch(r"(trig_convex|rational_normal):(\d+)", spec)
+        if m:
+            return build_model(m.group(1), int(m.group(2)))
     if isinstance(spec, (str, bytes)):
         with open(spec) as fh:
             spec = json.load(fh)
@@ -318,7 +325,7 @@ def curve_from_spec(spec) -> ParamCurve:
     return build_model(spec["model"], spec.get("n"), spec.get("coeffs"))
 
 
-def dual_curve(curve: ParamCurve, tol: Tolerances = DEFAULT) -> ParamCurve:
+def dual_curve(curve: ParamCurve) -> ParamCurve:
     """The osculating-hyperplane curve in the dual space.
 
     Its coordinates are curve.dual_coeffs, the generalized cross product of
@@ -329,6 +336,6 @@ def dual_curve(curve: ParamCurve, tol: Tolerances = DEFAULT) -> ParamCurve:
     coeffs = curve.dual_coeffs
     w = fourier.to_samples(coeffs, _construction_size(curve.n * curve.K))
     scale = np.linalg.norm(w, axis=0)
-    if scale.min() < tol.rank_rel * max(scale.max(), 1e-300):
+    if scale.min() < RANK_REL * max(scale.max(), 1e-300):
         raise DegeneracyError("order n-1 jet drops rank somewhere on the curve")
     return ParamCurve(coeffs, model=f"dual({curve.model})")

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError, PrecisionError
 from .projective import ProjPoint, complement, normalize, point_vector
@@ -187,8 +186,7 @@ def elliptic_hull(curve: ParamCurve) -> EllipticHull:
     )
 
 
-def elliptic_hull_membership(curve: ParamCurve, p,
-                             tol: Tolerances = DEFAULT) -> bool:
+def elliptic_hull_membership(curve: ParamCurve, p) -> bool:
     """Whether p has no tangent hyperplane (even n) or exactly one (odd n).
 
     The even case is cross-checked against the supporting half-space test;
@@ -196,7 +194,7 @@ def elliptic_hull_membership(curve: ParamCurve, p,
     precision error.
     """
     n = curve.n
-    total = count_roots(curve, p, tol).total
+    total = count_roots(curve, p).total
     if n % 2 == 1:
         return total == 1
     member = total == 0

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError
 from .projective import complement, osculating_subspace
@@ -78,8 +77,8 @@ def _ruling_offsets(steps: int, dims: int, extent: float) -> np.ndarray:
     return grid[:steps]
 
 
-def sample_discriminant(c: ParamCurve, t_steps: int, ruling_steps: int,
-                        tol: Tolerances = DEFAULT) -> RuledSample:
+def sample_discriminant(c: ParamCurve, t_steps: int,
+                        ruling_steps: int) -> RuledSample:
     """Sample the ruled discriminant hypersurface on a (t, ruling) grid."""
     if t_steps < 2 or ruling_steps < 1:
         raise ValueError("need at least 2 moment steps and 1 ruling step")
@@ -109,7 +108,7 @@ def sample_discriminant(c: ParamCurve, t_steps: int, ruling_steps: int,
     patches = np.empty((t_steps, ruling_steps, n + 1))
     rulings = np.empty((t_steps, ruling_steps, dims))
     for i, t in enumerate(ts):
-        sub = osculating_subspace(c, float(t), n - 2, tol)
+        sub = osculating_subspace(c, float(t), n - 2)
         span = sub.basis
         sw = span @ w
         nsw = float(np.linalg.norm(sw))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, projective
-from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError
 from .tangency import RootCount, count_roots
@@ -54,13 +53,13 @@ class ProjectedCurve:
         """Internal homogeneous coordinates to ambient ones."""
         return self.lift.T @ projective.point_vector(q, self.lift.shape[0])
 
-    def count_roots(self, p, tol: Tolerances = DEFAULT) -> RootCount:
+    def count_roots(self, p) -> RootCount:
         """Tangency count of an ambient point with respect to the projection."""
         v = projective.point_vector(p)
         q = self.push(v)
         if np.linalg.norm(q) < 1e-9 * np.linalg.norm(v):
             raise GeometryError("point is orthogonal to the ambient subspace")
-        return count_roots(self.curve, q, tol)
+        return count_roots(self.curve, q)
 
 
 def _projected_rows(curve: ParamCurve, h: np.ndarray) -> np.ndarray:
@@ -77,9 +76,8 @@ def _projected_rows(curve: ParamCurve, h: np.ndarray) -> np.ndarray:
     return np.vstack(rows)
 
 
-def project_onto_osculating_hyperplane(curve: ParamCurve, tau: float,
-                                       tol: Tolerances = DEFAULT
-                                       ) -> ProjectedCurve:
+def project_onto_osculating_hyperplane(curve: ParamCurve,
+                                       tau: float) -> ProjectedCurve:
     """Project along tangent lines onto the osculating hyperplane at tau.
 
     The result is a first-class curve one dimension down, convex whenever
@@ -90,7 +88,7 @@ def project_onto_osculating_hyperplane(curve: ParamCurve, tau: float,
     n = curve.n
     if n < 2:
         raise ValueError("projection needs ambient dimension at least 2")
-    h = projective.osculating_hyperplane(curve, tau, tol)
+    h = projective.osculating_hyperplane(curve, tau)
     rows = _projected_rows(curve, h)
     mat, worst = fourier.deflate(rows, float(tau), n - 1, curve.projective_period)
     if worst > DEFLATE_REMAINDER:
@@ -132,8 +130,7 @@ def project_onto_osculating_hyperplane(curve: ParamCurve, tau: float,
     )
 
 
-def project_iterated(curve: ParamCurve, moments, tol: Tolerances = DEFAULT
-                     ) -> ProjectedCurve:
+def project_iterated(curve: ParamCurve, moments) -> ProjectedCurve:
     """Repeated hyperplane projection; repeats of a moment merge naturally.
 
     Each step drops one dimension, so k moments admit k up to n-1 (the last
@@ -148,7 +145,7 @@ def project_iterated(curve: ParamCurve, moments, tol: Tolerances = DEFAULT
     cur = curve
     U = np.eye(n + 1)
     for tau in moments:
-        step = project_onto_osculating_hyperplane(cur, tau, tol)
+        step = project_onto_osculating_hyperplane(cur, tau)
         cur = step.curve
         U = step.lift @ U
     return ProjectedCurve(

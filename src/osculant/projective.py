@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError
 
+RANK_REL = 1e-9         # singular values below RANK_REL * s_max count as zero
+MERGE = 1e-7            # moments at most MERGE apart merge into one
 _MEMBER_REL = 1e-6      # subspace membership residual, relative to |p|
 
 
@@ -90,10 +91,10 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", amb)
 
     @classmethod
-    def from_vectors(cls, vectors, tol: Tolerances = DEFAULT) -> "Subspace":
+    def from_vectors(cls, vectors) -> "Subspace":
         """Orthonormalize spanning vectors; rejects dependent input."""
         vmat = np.atleast_2d(np.asarray(vectors, float))
-        q = _row_space(vmat, tol.rank_rel)
+        q = _row_space(vmat)
         if q.shape[0] != vmat.shape[0]:
             raise ValueError("spanning vectors are linearly dependent at tolerance")
         return cls(q, vmat.shape[1] - 1)
@@ -134,7 +135,7 @@ def complement(rows) -> np.ndarray:
     return np.linalg.svd(rows)[2][rows.shape[0]:]
 
 
-def _row_space(mat: np.ndarray, rank_rel: float) -> np.ndarray:
+def _row_space(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the row space; rows are pre-normalized for conditioning."""
     mat = np.atleast_2d(np.asarray(mat, float))
     if mat.shape[0] == 0:
@@ -143,11 +144,11 @@ def _row_space(mat: np.ndarray, rank_rel: float) -> np.ndarray:
     if np.any(nrm == 0.0):
         raise ValueError("zero row in spanning set")
     _, s, vt = np.linalg.svd(mat / nrm)
-    rank = int(np.sum(s > rank_rel * s[0])) if s.size else 0
+    rank = int(np.sum(s > RANK_REL * s[0])) if s.size else 0
     return vt[:rank]
 
 
-def intersect(subspaces, tol: Tolerances = DEFAULT) -> Subspace:
+def intersect(subspaces) -> Subspace:
     """Intersection of projective subspaces; empty intersection has dim -1.
 
     Computed as the joint nullspace of the stacked annihilators, so the result
@@ -159,7 +160,7 @@ def intersect(subspaces, tol: Tolerances = DEFAULT) -> Subspace:
     amb = subs[0].ambient_dim
     if any(s.ambient_dim != amb for s in subs):
         raise ValueError("mixed ambient dimensions")
-    return Subspace(joint_null([s.annihilator() for s in subs], tol.rank_rel)[0], amb)
+    return Subspace(joint_null([s.annihilator() for s in subs], RANK_REL)[0], amb)
 
 
 def joint_null(annihilators, *rank_rels) -> list:
@@ -171,35 +172,35 @@ def joint_null(annihilators, *rank_rels) -> list:
     return [vt[int(np.sum(s > rel * s[0])) if s.size else 0:] for rel in rank_rels]
 
 
-def osculating_frame(jets, tol: Tolerances = DEFAULT) -> np.ndarray:
+def osculating_frame(jets) -> np.ndarray:
     """Right singular vectors of a jet (k+1, n+1) or of a stack of jets.
 
     Rows are normalized first.  The leading k+1 rows of the result span the
     osculating subspace, the rest annihilate it.  A row no longer than
-    tol.rank_rel times its jet's longest, as at a cusp, or a rank drop at
-    tol.rank_rel raises DegeneracyError.
+    RANK_REL times its jet's longest, as at a cusp, or a rank drop at
+    RANK_REL raises DegeneracyError.
     """
     order = jets.shape[-2] - 1
     nrm = np.linalg.norm(jets, axis=-1, keepdims=True)
-    if (nrm <= tol.rank_rel * nrm.max(axis=-2, keepdims=True)).any():
+    if (nrm <= RANK_REL * nrm.max(axis=-2, keepdims=True)).any():
         raise DegeneracyError(f"a jet of order {order} has a vanishing row")
     _, s, vt = np.linalg.svd(jets / nrm, full_matrices=True)
-    if (s[..., -1] <= tol.rank_rel * s[..., 0]).any():
+    if (s[..., -1] <= RANK_REL * s[..., 0]).any():
         raise DegeneracyError(f"a jet of order {order} drops rank")
     return vt
 
 
-def osculating_subspace(curve, t: float, k: int, tol: Tolerances = DEFAULT) -> Subspace:
+def osculating_subspace(curve, t: float, k: int) -> Subspace:
     """Span of the derivatives 0..k at t: the codimension n-k osculating subspace."""
     n = curve.n
     if not 0 <= k <= n:
         raise ValueError(f"osculating order k must lie in 0..{n}")
-    return Subspace(osculating_frame(curve.jet(t, k), tol)[:k + 1], n)
+    return Subspace(osculating_frame(curve.jet(t, k))[:k + 1], n)
 
 
-def osculating_hyperplane(curve, t: float, tol: Tolerances = DEFAULT) -> np.ndarray:
+def osculating_hyperplane(curve, t: float) -> np.ndarray:
     """Unit covector of the osculating hyperplane at t (sign canonicalized)."""
-    h = osculating_frame(curve.jet(t, curve.n - 1), tol)[-1]
+    h = osculating_frame(curve.jet(t, curve.n - 1))[-1]
     lead = np.nonzero(np.abs(h) > 1e-12)[0]
     if lead.size and h[lead[0]] < 0:
         h = -h
@@ -255,8 +256,8 @@ def circular_clusters(ts, period: float, gap: float) -> list:
     return groups
 
 
-def merge_moments(moments, period: float, tol: Tolerances = DEFAULT):
-    """Group parameter values that coincide up to tolerance on the circle.
+def merge_moments(moments, period: float):
+    """Group parameter values at most MERGE apart on the circle.
 
     Returns [(representative, multiplicity), ...] with representatives in
     [0, period), one per circular_clusters group and in its order, so a group
@@ -266,14 +267,14 @@ def merge_moments(moments, period: float, tol: Tolerances = DEFAULT):
     """
     ts = sorted(float(t) % period for t in moments)
     out = []
-    for g in circular_clusters(ts, period, tol.merge):
+    for g in circular_clusters(ts, period, MERGE):
         # members indexed above the group's last one wrapped across the seam
         unwrapped = [ts[i] - period if i > g[-1] else ts[i] for i in g]
         out.append((fold(np.mean(unwrapped), period), len(g)))
     return out
 
 
-def osculating_intersection(curve, moments, tol: Tolerances = DEFAULT) -> Subspace:
+def osculating_intersection(curve, moments) -> Subspace:
     """Intersection of osculating subspaces for a multiset of moments.
 
     Each moment of multiplicity r contributes the codimension-r osculating
@@ -281,19 +282,19 @@ def osculating_intersection(curve, moments, tol: Tolerances = DEFAULT) -> Subspa
     result is a single point.
     """
     n = curve.n
-    merged = merge_moments(moments, curve.projective_period, tol)
+    merged = merge_moments(moments, curve.projective_period)
     if not merged:
         raise ValueError("need at least one moment")
     if sum(r for _, r in merged) > n:
         raise ValueError("total multiplicity exceeds the ambient dimension")
-    anns = [osculating_frame(curve.jet(t, n - r), tol)[n - r + 1:] for t, r in merged]
-    return Subspace(joint_null(anns, tol.rank_rel)[0], n)
+    anns = [osculating_frame(curve.jet(t, n - r))[n - r + 1:] for t, r in merged]
+    return Subspace(joint_null(anns, RANK_REL)[0], n)
 
 
-def same_subspace(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT) -> bool:
+def same_subspace(a: Subspace, b: Subspace) -> bool:
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
     if a.dim < 0:
         return True
     s = np.linalg.svd(np.vstack([a.basis, b.basis]), compute_uv=False)
-    return int(np.sum(s > tol.rank_rel * s[0])) == a.basis.shape[0]
+    return int(np.sum(s > RANK_REL * s[0])) == a.basis.shape[0]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .curves import ParamCurve
 from .errors import GeometryError, OnDiscriminantError, PrecisionError
 from .forms import exact_count
@@ -65,7 +64,7 @@ class StratumData:
     fiber_point: FiberPoint
 
 
-def stratum_label(c: ParamCurve, p, tol: Tolerances = DEFAULT) -> int:
+def stratum_label(c: ParamCurve, p) -> int:
     """Index of the root-filtration stratum containing p.
 
     The multiplicity-counted tangency total always matches the ambient
@@ -73,12 +72,12 @@ def stratum_label(c: ParamCurve, p, tol: Tolerances = DEFAULT) -> int:
     discriminant (a tangency escaped with the wrong multiplicity) and the
     point cannot be classified as given.
     """
-    return (c.n - _parity_checked(c, p, tol).total) // 2
+    return (c.n - _parity_checked(c, p).total) // 2
 
 
-def _parity_checked(c: ParamCurve, p, tol: Tolerances) -> RootCount:
+def _parity_checked(c: ParamCurve, p) -> RootCount:
     """count_roots, refused with OnDiscriminantError on a wrong-parity total."""
-    rc = count_roots(c, p, tol)
+    rc = count_roots(c, p)
     if (c.n - rc.total) % 2 != 0:
         raise OnDiscriminantError(
             f"tangency total {rc.total} has the wrong parity for dimension "
@@ -87,23 +86,23 @@ def _parity_checked(c: ParamCurve, p, tol: Tolerances) -> RootCount:
     return rc
 
 
-def _child_and_hull(c: ParamCurve, moments, tol: Tolerances):
+def _child_and_hull(c: ParamCurve, moments):
     """Project out the tangency moments and build the resulting hull."""
     if moments:
-        child = project_iterated(c, list(moments), tol)
+        child = project_iterated(c, list(moments))
         return child, child.curve.hull
     return None, c.hull
 
 
-def tangency_data(c: ParamCurve, p, tol: Tolerances = DEFAULT) -> StratumData:
+def tangency_data(c: ParamCurve, p) -> StratumData:
     """Full classification of p: stratum index, moments, fiber coordinates."""
-    rc = _parity_checked(c, p, tol)
+    rc = _parity_checked(c, p)
     i = (c.n - rc.total) // 2
     moments = tuple(rc.moments())
     if i == 0:
         # p is the single point cut out by the n osculating hyperplanes
         return StratumData(0, moments, FiberPoint((), 0.0))
-    child, hull = _child_and_hull(c, moments, tol)
+    child, hull = _child_and_hull(c, moments)
     v = point_vector(p)
     q = child.push(v) if child is not None else v
     y = hull.to_chart(q)
@@ -137,18 +136,17 @@ def rescale_moments(data: StratumData, c1: ParamCurve,
                        data.fiber_point)
 
 
-def realize(c: ParamCurve, data: StratumData,
-            tol: Tolerances = DEFAULT) -> ProjPoint:
+def realize(c: ParamCurve, data: StratumData) -> ProjPoint:
     """Point of c's ambient space with the given stratum data."""
     if data.index == 0:
-        cut = osculating_intersection(c, list(data.moments), tol)
+        cut = osculating_intersection(c, list(data.moments))
         if cut.dim != 0:
             raise GeometryError(
                 f"osculating hyperplanes at the given moments cut out a "
                 f"{cut.dim}-dimensional set, not a point"
             )
         return cut.spanning_point()
-    child, hull = _child_and_hull(c, data.moments, tol)
+    child, hull = _child_and_hull(c, data.moments)
     d = np.asarray(data.fiber_point.direction, float)
     if data.fiber_point.radius == 0.0 or not d.any():
         y = hull.center_chart
@@ -160,8 +158,7 @@ def realize(c: ParamCurve, data: StratumData,
     return normalize(v)
 
 
-def transport(p, c1: ParamCurve, c2: ParamCurve,
-              tol: Tolerances = DEFAULT) -> ProjPoint:
+def transport(p, c1: ParamCurve, c2: ParamCurve) -> ProjPoint:
     """Carry p across curves keeping stratum, moments and fiber coordinates.
 
     Moment tuples live on each curve's own parameter circle, so they go
@@ -170,8 +167,8 @@ def transport(p, c1: ParamCurve, c2: ParamCurve,
     """
     if c1.n != c2.n:
         raise ValueError("transport needs curves of the same ambient dimension")
-    data = rescale_moments(tangency_data(c1, p, tol), c1, c2)
-    return realize(c2, data, tol)
+    data = rescale_moments(tangency_data(c1, p), c1, c2)
+    return realize(c2, data)
 
 
 def _census_point(c: ParamCurve, rng: np.random.Generator) -> np.ndarray:
@@ -205,7 +202,6 @@ def _census_point(c: ParamCurve, rng: np.random.Generator) -> np.ndarray:
 
 
 def component_census(c: ParamCurve, samples: int, seed: int = 0,
-                     tol: Tolerances = DEFAULT,
                      constancy_checks: int = 100) -> dict:
     """Histogram of tangency counts over random points, plus component count.
 
@@ -229,7 +225,7 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
         for _ in range(samples):
             v = _census_point(c, rng)
             try:
-                total = _parity_checked(c, v, tol).total
+                total = _parity_checked(c, v).total
             except (PrecisionError, OnDiscriminantError) as exc:
                 refused[type(exc)] += 1
                 continue
@@ -261,8 +257,8 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
             v = _census_point(c, rng)
             w = v + 1e-5 * np.linalg.norm(v) * rng.standard_normal(n + 1)
             try:
-                a = _parity_checked(c, v, tol).total
-                b = _parity_checked(c, w, tol).total
+                a = _parity_checked(c, v).total
+                b = _parity_checked(c, w).total
             except (PrecisionError, OnDiscriminantError) as exc:
                 refused[type(exc)] += 1
                 continue

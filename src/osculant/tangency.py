@@ -13,9 +13,9 @@ dual_fold), so that polynomial is u^j0 Q(u^s), and each zero on one period
 is one unit-circle eigenvalue of Q's companion matrix.  Each eigenvalue
 moment where |F_p| is below the zero threshold gets its order from a
 derivative scan, which polishes it for order m only where at least m
-eigenvalues crowd it; the sites are then grouped once within the merge
-tolerance, one zero per group.  order_of_tangency reads the same order
-off the osculating flag.
+eigenvalues crowd it; the sites are then grouped once within MERGE, one
+zero per group.  order_of_tangency reads the same order off the
+osculating flag.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .config import DEFAULT, Tolerances
 from .errors import DegeneracyError, PrecisionError
-from .projective import (circular_clusters, circular_gap, fold,
+from .projective import (MERGE, circular_clusters, circular_gap, fold,
                          osculating_subspace, point_vector)
 
 
@@ -60,7 +59,7 @@ def tangency_function(curve, p) -> fourier.TrigPoly:
     return fourier.TrigPoly((-1) ** n * (v @ curve.dual_coeffs))
 
 
-def order_of_tangency(curve, p, tau: float, tol: Tolerances = DEFAULT) -> int:
+def order_of_tangency(curve, p, tau: float) -> int:
     """Largest i with p inside the codimension-i osculating subspace at tau.
 
     Requires p to lie on the osculating hyperplane at tau; equals the order of
@@ -71,16 +70,17 @@ def order_of_tangency(curve, p, tau: float, tol: Tolerances = DEFAULT) -> int:
     n = curve.n
     v = _point_vec(p, n + 1)
     for m in range(n):
-        if osculating_subspace(curve, tau, m, tol).contains(v):
+        if osculating_subspace(curve, tau, m).contains(v):
             return n - m
     raise ValueError("point is not on the osculating hyperplane at tau")
 
 
+_ZERO_REL = 1e-10       # |F_p| below _ZERO_REL times max |F_p| flags a tangency
 _UNIT_BAND = 1e-2       # ||u| - 1| of root candidates; high-order zeros split off the circle
 _DERIV_REL = 1e-6       # a derivative is nonzero above _DERIV_REL times its scale
 
 
-def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
+def count_roots(curve, p) -> RootCount:
     """All tangency moments of p with orders; total counted with multiplicity.
 
     A zero whose order cannot be certified raises PrecisionError.
@@ -92,7 +92,7 @@ def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
     scale = _scales(curve, F)
     if scale(0) == 0.0 or not np.isfinite(scale(0)):
         raise DegeneracyError("tangency function vanished identically")
-    zero_thr = tol.zero_rel * scale(0)
+    zero_thr = _ZERO_REL * scale(0)
     # u^K F = u^j0 Q(u^s): one eigenvalue w = u^s per zero on the period
     w = np.roots(F.coeffs[j0::s][::-1])
     w = w[np.abs(np.abs(w) ** (1.0 / s) - 1.0) <= _UNIT_BAND]
@@ -102,7 +102,7 @@ def count_roots(curve, p, tol: Tolerances = DEFAULT) -> RootCount:
                    for tau in roots)
     # the eigenvalues of one zero polish to one location: keep the first
     # site of each group (across the seam, the one at or above 0)
-    groups = circular_clusters([t for t, _ in sites], period, tol.merge)
+    groups = circular_clusters([t for t, _ in sites], period, MERGE)
     tangencies = [(sites[min(g)][0], max(sites[i][1] for i in g)) for g in groups]
     return RootCount(tuple(sorted(tangencies)), sum(m for _, m in tangencies))
 

@@ -163,6 +163,12 @@ def test_bad_flag_is_usage_error(capsys):
                  "(1, 3, 0)"]) == 3
 
 
+def test_thresholds_are_not_flags():
+    # rank, zero and merge thresholds are module constants
+    assert main(["roots", "--tol-rank", "1e-6", "--curve", "trig_convex:2",
+                 "(1, 3, 0)"]) == 3
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is imported where it is first used, not at import time
     proc = subprocess.run(

@@ -17,7 +17,6 @@ from osculant import (
     fourier,
 )
 from osculant import convexity
-from osculant.config import DEFAULT
 from osculant.convexity import (MOMENT_SEP, _annihilators,
                                 _intersection_dim_stable, _pair_scan,
                                 _random_composition, _sigma_block,
@@ -26,8 +25,8 @@ from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
                              perturbed_circle)
 from osculant.errors import DegeneracyError, PrecisionError
 from osculant.projection import project_iterated
-from osculant.projective import (intersect, osculating_subspace,
-                                 separated_moments)
+from osculant.projective import (RANK_REL, intersect, joint_null,
+                                 osculating_subspace, separated_moments)
 
 ASTROID = [[1], [0, .75, 0, 0, 0, .25, 0], [0, 0, .75, 0, 0, 0, -.25]]
 
@@ -38,7 +37,7 @@ def _grid(c):
 
 def _anns(c, ts, k):
     """Codimension-k annihilators at ts."""
-    return _annihilators(c, ts, k, DEFAULT)
+    return _annihilators(c, ts, k)
 
 
 CERTIFY_CURVES = (
@@ -106,7 +105,7 @@ def test_sigma_grid_matches_pairwise_loop(trig, rational):
         n, grid = c.n, _grid(c)
         sep = 0.05 * c.projective_period
         for k in range(1, n // 2 + 1):
-            sig = _sigma_block(c, k, grid, grid, sep, DEFAULT)
+            sig = _sigma_block(c, k, grid, grid, sep)
             ref = _pairwise_sigma(c, grid, sep, k)
             assert np.array_equal(np.isinf(sig), np.isinf(ref))
             finite = np.isfinite(ref)
@@ -119,7 +118,7 @@ def test_mirrored_sigma_grid_is_the_transpose(trig, rational):
         n, grid = c.n, _grid(c)
         sep = 0.05 * c.projective_period
         for k in range(1, (n + 1) // 2):
-            sig = _sigma_block(c, k, grid, grid, sep, DEFAULT)
+            sig = _sigma_block(c, k, grid, grid, sep)
             mirror = _pairwise_sigma(c, grid, sep, n - k)
             assert np.array_equal(np.isinf(mirror), np.isinf(sig.T))
             finite = np.isfinite(mirror)
@@ -136,7 +135,7 @@ def test_sigma_is_the_per_moment_annihilator_svd():
         rng = np.random.default_rng(17)
         for k in range(1, n):
             for ts1, ts2 in rng.uniform(0.0, period, (20, 2, 5)):
-                block = _sigma_block(c, k, ts1, ts2, sep, DEFAULT)
+                block = _sigma_block(c, k, ts1, ts2, sep)
                 anns1, anns2 = _anns(c, ts1, k), _anns(c, ts2, n - k)
                 for a, b in itertools.product(range(5), range(5)):
                     d = abs(ts1[a] - ts2[b]) % period
@@ -149,8 +148,8 @@ def test_sigma_is_the_per_moment_annihilator_svd():
 
 
 def test_criterion_dimension_is_the_intersection_dimension():
-    # one SVD read at both tolerances decides what two intersects decide
-    loose = DEFAULT.with_overrides(rank_rel=10 * DEFAULT.rank_rel)
+    # one SVD read at both cutoffs decides what intersect and its 10x
+    # reference decide
     for make in CERTIFY_CURVES:
         c = make()
         n, period = c.n, c.projective_period
@@ -161,26 +160,27 @@ def test_criterion_dimension_is_the_intersection_dimension():
                                         MOMENT_SEP * period, rng)
             subs = [osculating_subspace(c, t, n - k)
                     for k, t in zip(parts, moments)]
-            dim, dim10 = intersect(subs).dim, intersect(subs, loose).dim
+            dim = intersect(subs).dim
+            dim10 = len(joint_null([s.annihilator() for s in subs],
+                                   RANK_REL, 10 * RANK_REL)[1]) - 1
             if dim != dim10:
                 with pytest.raises(PrecisionError):
-                    _intersection_dim_stable(c, parts, moments, DEFAULT)
+                    _intersection_dim_stable(c, parts, moments)
             else:
-                assert _intersection_dim_stable(c, parts, moments,
-                                                DEFAULT) == dim
+                assert _intersection_dim_stable(c, parts, moments) == dim
     # the pinned witness of the non-convex control
     c, moments = nonconvex_space_curve(), (0.0, 3.1415926540347137)
     subs = [osculating_subspace(c, moments[0], 2),
             osculating_subspace(c, moments[1], 1)]
     assert intersect(subs).dim == 1
-    assert _intersection_dim_stable(c, (1, 2), moments, DEFAULT) == 1
+    assert _intersection_dim_stable(c, (1, 2), moments) == 1
 
 
 def test_pair_scan_control_witnesses_are_pinned():
-    w = _pair_scan(nonconvex_space_curve(), DEFAULT)
+    w = _pair_scan(nonconvex_space_curve())
     assert (w["composition"], w["moments"], w["dim"]) == \
            ((1, 2), (0.0, 3.141592655296769), 1)
-    w = _pair_scan(perturbed_circle(0.3), DEFAULT)
+    w = _pair_scan(perturbed_circle(0.3))
     assert (w["composition"], w["moments"], w["dim"]) == \
            ((1, 1), (3.7890534077766698, 2.494131899402917), 1)
 
@@ -207,11 +207,11 @@ RANDOM_SCAN_VERDICTS = {
 def test_pair_scan_verdicts_on_random_fourier_curves_are_pinned():
     for key, found in RANDOM_SCAN_VERDICTS.items():
         c = _random_fourier_curve(*key)
-        w = _pair_scan(c, DEFAULT)
+        w = _pair_scan(c)
         assert (w is not None) == found, key
         if found:
-            assert _intersection_dim_stable(c, w["composition"], w["moments"],
-                                            DEFAULT) > 0, key
+            assert _intersection_dim_stable(c, w["composition"],
+                                            w["moments"]) > 0, key
 
 
 PASS = "all 50 random intersections are points plus a deterministic pair scan"
@@ -275,7 +275,7 @@ def test_cusp_on_the_scan_grid_is_a_degeneracy():
             _anns(astroid, np.array([t]), 1)
         for t1, t2 in ((t, t + 1.0), (t + 1.0, t)):
             with pytest.raises(DegeneracyError):
-                _sigma_block(astroid, 1, [t1], [t2], sep, DEFAULT)
+                _sigma_block(astroid, 1, [t1], [t2], sep)
 
 
 def test_pair_scan_logs_one_record_per_composition(trig, caplog):
@@ -294,7 +294,7 @@ def test_pair_scan_logs_one_record_per_composition(trig, caplog):
 
 def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
     caplog.set_level(logging.DEBUG, logger="osculant")
-    assert _pair_scan(trig[4], DEFAULT) is None
+    assert _pair_scan(trig[4]) is None
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
     assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 3)",
                                                "pair scan (2, 2)"]
@@ -320,7 +320,7 @@ def test_pair_scan_refines_only_local_minima(rational, caplog):
     # scan must stop there rather than walk on through non-minimum cells.
     # The sigma-value counts pin every pattern-search trajectory as well
     caplog.set_level(logging.DEBUG, logger="osculant")
-    assert _pair_scan(dual_curve(rational[4]), DEFAULT) is None
+    assert _pair_scan(dual_curve(rational[4])) is None
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
     counts = [tuple(map(int, re.search(
         r"(\d+) candidates refined, (\d+) mirror candidates skipped, "
@@ -334,14 +334,14 @@ def test_hyperplane_certificate_on_convex_curves(trig, rational):
                project_iterated(trig[4], (1.0,)).curve,
                perturbed_circle(0.05)]
     for c in curves:
-        assert _wronskian_certificate(c, 1, DEFAULT) == (True, None), c.model
+        assert _wronskian_certificate(c, 1) == (True, None), c.model
 
 
 def test_hyperplane_certificate_refuses_nonconvex_curves():
     astroid = build_model("fourier", 2, ASTROID)
     for c in (nonconvex_space_curve(), astroid, perturbed_circle(0.1001),
               perturbed_circle(0.11), perturbed_circle(0.3)):
-        certified, meets = _wronskian_certificate(c, 1, DEFAULT)
+        certified, meets = _wronskian_certificate(c, 1)
         assert not certified, c.model
         assert meets["composition"] == (1, c.n - 1)
         lo, hi = meets["w_range"]
@@ -353,7 +353,7 @@ def test_wronskian_certifies_every_composition_of_the_stock_curves(
     for c in [c for n in range(4, 7) for c in (trig[n], rational[n])] + [
             dual_curve(rational[4])]:
         for k in range(2, c.n // 2 + 1):
-            assert _wronskian_certificate(c, k, DEFAULT) == (True, None), \
+            assert _wronskian_certificate(c, k) == (True, None), \
                 (c.model, k)
 
 
@@ -365,7 +365,7 @@ def test_refinement_certifies_curves_near_the_threshold(caplog):
                  (_random_fourier_curve(4, 0.05, 0), 2),
                  (_random_fourier_curve(4, 0.03, 1), 2)):
         caplog.clear()
-        assert _wronskian_certificate(c, k, DEFAULT) == (True, None), k
+        assert _wronskian_certificate(c, k) == (True, None), k
         depth = int(re.search(r"refined to depth (\d+)",
                               caplog.records[-1].getMessage()).group(1))
         assert 1 <= depth <= convexity.REFINE_DEPTH
@@ -396,7 +396,7 @@ def test_wronskian_rounding_bound_covers_the_grid_error(
               (_random_fourier_curve(4, 0.03, 1), 2)]
     for c, k in cases:
         caplog.clear()
-        assert _wronskian_certificate(c, k, DEFAULT)[0], (c.model, k)
+        assert _wronskian_certificate(c, k)[0], (c.model, k)
         rounding = float(re.search(r"rounding ([^ ]+) on",
                                    caplog.records[-1].getMessage()).group(1))
         d, wc = seen["d"], seen["wc"]
@@ -411,7 +411,7 @@ def test_wronskian_rounding_bound_covers_the_grid_error(
 def test_wronskian_zero_is_a_hyperplane_meeting_the_curve_n_plus_one_times():
     c = _random_fourier_curve(4, 0.05, 1)
     n, k = c.n, 2
-    certified, meets = _wronskian_certificate(c, k, DEFAULT)
+    certified, meets = _wronskian_certificate(c, k)
     assert not certified and meets["composition"] == (k, n - k)
     lo, hi = meets["w_range"]
     assert lo < 0 < hi
@@ -453,8 +453,22 @@ def test_certified_compositions_need_no_random_rank_decision(rational):
     assert check_convex_criterion(c, samples=50, rng=rng)
 
 
+def test_refused_draw_defers_to_a_wronskian_zero():
+    # a near-diagonal draw flips under a 10x cutoff, but both Wronskians
+    # of this curve change sign: the draws stop and the pair scan decides
+    c = _random_fourier_curve(4, 0.04, 8)
+    assert _wronskian_certificate(c, 2)[1] is not None
+    with pytest.raises(PrecisionError):
+        check_convex_criterion(c, 30, rng=8, pair_scan=False)
+    report = check_convex_criterion(c, 30, rng=8)
+    assert not report
+    assert report.notes == "pair scan found a rank drop"
+    assert report.witness["composition"] == (2, 2)
+    assert report.witness["dim"] == 1
+
+
 def test_criterion_without_pair_scan_skips_the_certificate(trig, monkeypatch):
-    def refuse(curve, k, tol):
+    def refuse(curve, k):
         raise AssertionError("certificate ran")
     monkeypatch.setattr(convexity, "_wronskian_certificate", refuse)
     assert check_convex_criterion(trig[3], samples=5, rng=0, pair_scan=False)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from osculant import fourier
-from osculant.config import DEFAULT
 from osculant.curves import (build_model, curve_from_spec, dual_curve,
                              nonconvex_space_curve, perturbed_circle)
 from osculant.errors import DegeneracyError
@@ -88,6 +87,11 @@ def test_curve_from_spec_file(tmp_path):
     assert c.n == 3
 
 
+def test_curve_from_spec_reads_model_shorthand():
+    c = curve_from_spec("trig_convex:4")
+    assert np.array_equal(c.coeffs, build_model("trig_convex", 4).coeffs)
+
+
 def test_curve_from_spec_fourier_rows():
     c = curve_from_spec({"model": "fourier",
                          "coeffs": [[1], [0, 1, 0], [0, 0, 1]]})
@@ -123,12 +127,14 @@ def test_dual_of_circle_is_the_tangent_line():
                np.linalg.norm(w + expected)) < 1e-9
 
 
-def test_dual_curve_rank_gate_reads_tol():
-    # |gamma*| of rational_normal(4) varies by a factor of about 0.48
-    c = build_model("rational_normal", 4)
-    dual_curve(c, DEFAULT.with_overrides(rank_rel=0.4))
+def test_dual_curve_rank_gate():
+    # |gamma*| of rational_normal(4) varies by a factor of about 0.48; the
+    # astroid's gamma* vanishes at its cusps
+    assert dual_curve(build_model("rational_normal", 4)).n == 4
+    astroid = build_model("fourier", 2, [[1], [0, .75, 0, 0, 0, .25, 0],
+                                         [0, 0, .75, 0, 0, 0, -.25]])
     with pytest.raises(DegeneracyError):
-        dual_curve(c, DEFAULT.with_overrides(rank_rel=0.5))
+        dual_curve(astroid)
 
 
 def test_derived_data_is_built_once():

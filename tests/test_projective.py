@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from osculant.config import DEFAULT
 from osculant.curves import build_model
 from osculant.errors import DegeneracyError
 from osculant.projective import (ProjPoint, Subspace, circular_clusters, circular_gap,
@@ -147,10 +146,11 @@ def test_circular_clusters_chain_and_join_across_the_seam():
     assert circular_clusters(ts, 1.0, 0.06) == [[5, 0, 1], [2, 3, 4]]
     assert circular_clusters([0.1, 0.5], 1.0, 0.06) == [[0], [1]]
     assert circular_clusters([], 1.0, 0.06) == []
-    merged = merge_moments(ts, 1.0, DEFAULT.with_overrides(merge=0.06))
+    # scaled by 1e-6, the same moments merge at MERGE = 1e-7
+    merged = merge_moments([1e-6 * t for t in ts], 1e-6)
     assert [m for _, m in merged] == [3, 3]
-    assert merged[0][0] == pytest.approx(0.02 / 3)
-    assert merged[1][0] == pytest.approx(0.35)
+    assert merged[0][0] == pytest.approx(0.02e-6 / 3)
+    assert merged[1][0] == pytest.approx(0.35e-6)
 
 
 def test_separated_moments_keep_their_gaps():
