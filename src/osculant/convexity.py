@@ -18,6 +18,9 @@ For k = 1 the Wronskian is the pairing of the osculating hyperplane with
 the curve.  Compositions that no Wronskian proves get a coarse scan over a
 moment grid followed by a pattern search for the smallest stacked
 singular value, which finds violations reliably but proves nothing.
+This phase reads the curve alone, never the rng, so each curve keeps it
+(ParamCurve.two_part_proof).  The random tuples are all drawn first and
+decided in one stacked pass per composition.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ import itertools
 import logging
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
 from . import fourier, projective
-from .errors import PrecisionError
+from .errors import DegeneracyError, PrecisionError
 from .projective import RANK_REL
 from .tangency import count_roots
 
@@ -161,17 +165,49 @@ def _pattern_search(curve, k, x, step, scan_sep):
     return x, sig, 25 * steps
 
 
-def _intersection_dim_stable(curve, parts, moments) -> int:
+def _stacked_sigmas(curve, parts, moments) -> np.ndarray:
+    """Singular values of the stacked annihilators at each row of moments.
+
+    One osculating_frame per part serves every row, and each row's SVD is
+    joint_null's full one, so it has the bits of that row alone (with
+    compute_uv=False they may round otherwise).  Raises DegeneracyError as
+    osculating_frame does when any row's jet is degenerate.
+    """
     n = curve.n
-    anns = [projective.osculating_frame(curve.jet(float(t), n - k))[n - k + 1:]
-            for k, t in zip(parts, moments)]
-    dim, dim10 = (len(null) - 1 for null in projective.joint_null(
-        anns, RANK_REL, 10 * RANK_REL))
-    if dim != dim10:
-        raise PrecisionError(
-            f"intersection dimension flips from {dim} to {dim10} under a "
-            f"10x rank tolerance at moments {tuple(moments)}"
-        )
+    moments = np.asarray(moments, float)
+    anns = [projective.osculating_frame(
+        curve.jet(moments[:, j], n - k))[:, n - k + 1:]
+        for j, k in enumerate(parts)]
+    return np.linalg.svd(np.concatenate(anns, axis=1))[1]
+
+
+def _rank_decisions(curve, parts, draws) -> list:
+    """Intersection dimension of composition parts at each moment tuple of draws.
+
+    Each entry is the dimension at RANK_REL, or the error that refuses the
+    draw: a PrecisionError when the dimension flips under ten times
+    RANK_REL, a DegeneracyError when a jet drops rank.  A degenerate stack
+    is decided draw by draw.
+    """
+    try:
+        s = _stacked_sigmas(curve, parts, draws)
+    except DegeneracyError as err:
+        if len(draws) == 1:
+            return [err]
+        return [d for m in draws for d in _rank_decisions(curve, parts, [m])]
+    dims, dims10 = (curve.n - np.sum(s > rel * s[:, :1], axis=1)
+                    for rel in (RANK_REL, 10 * RANK_REL))
+    return [int(dim) if dim == dim10 else PrecisionError(
+        f"intersection dimension flips from {dim} to {dim10} under a "
+        f"10x rank tolerance at moments {tuple(m)}")
+        for dim, dim10, m in zip(dims, dims10, draws)]
+
+
+def _intersection_dim_stable(curve, parts, moments) -> int:
+    """The rank decision of one draw; raises the error that refuses it."""
+    dim, = _rank_decisions(curve, parts, [moments])
+    if isinstance(dim, Exception):
+        raise dim
     return dim
 
 
@@ -447,57 +483,127 @@ def _wronskian_certificate(curve, k):
     return False, None
 
 
+class TwoPartProof:
+    """What check_convex_criterion proves of a curve's two-part compositions.
+
+    Neither part reads the rng, so ParamCurve.two_part_proof keeps one per
+    curve.  certificates holds _wronskian_certificate(curve, k) for each
+    k <= n/2, made with the object; scan() runs _pair_scan over the
+    compositions that no certificate proved on its first call, and keeps
+    the result unless it raises.  Witnesses are handed out as copies.
+    """
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.certificates = tuple(_wronskian_certificate(curve, k)
+                                  for k in range(1, curve.n // 2 + 1))
+        self.certified = frozenset(
+            k for k, (proved, _) in enumerate(self.certificates, 1) if proved)
+
+    def meets(self):
+        """The zero of W of the smallest k that has one, else None."""
+        w = next((w for _, w in self.certificates if w is not None), None)
+        return None if w is None else dict(w)
+
+    @cached_property
+    def _scan(self):
+        return _pair_scan(self.curve, skip=self.certified)
+
+    def scan(self):
+        """The pair scan's witness, else None."""
+        return None if self._scan is None else dict(self._scan)
+
+
 def check_convex_criterion(curve, samples: int = 500, rng=None,
                            pair_scan: bool = True) -> ConvexityReport:
     """Transversality of osculating-subspace intersections.
 
     For random compositions (k_1, ..., k_r) of n and separated moment
     tuples, the intersection of the subspaces of codimension k_i at t_i
-    must be a single point.  The rank decision must hold at RANK_REL and
-    at ten times RANK_REL, otherwise a precision error is raised; when a
-    certificate has already found a zero of its Wronskian, the draws stop
-    there instead and the checks below decide.  Deterministic checks hunt
-    for the measure-zero violations random tuples cannot see.
-    _wronskian_certificate, one call per k <= n/2, proves (k, n-k) and
-    (n-k, k) clean over the whole moment torus, near the diagonal too,
-    when it can.  A random two-part tuple of a proved composition is then
-    counted among the samples as a point without a rank decision of its
-    own, so the notes' count includes such draws.  The pair scan covers
-    only the compositions that no certificate proved, so a curve certified
-    for every k runs no scan.  If the scan finds no witness but a
-    certificate found a zero of its Wronskian, a hyperplane that meets the
-    curve more than n times, the criterion fails with the zero of the
-    smallest such k as its witness.
+    must be a single point.  All samples tuples are drawn first, so a
+    Generator passed as rng advances by samples tuples even when the
+    criterion stops early (an integer seed gives the same tuples as
+    always).  The tuples of each composition are then decided in one
+    stacked pass, and walked in the order drawn: a rank decision must
+    hold at RANK_REL and at ten times RANK_REL, otherwise a precision
+    error is raised; when a certificate has already found a zero of its
+    Wronskian, the walk stops there instead and the checks below decide.
+    A degenerate jet raises only when the walk reaches its tuple.
+    Deterministic checks hunt for the measure-zero violations random
+    tuples cannot see, and read the curve alone: curve.two_part_proof
+    keeps them for the next call.  _wronskian_certificate, one call per
+    k <= n/2, proves (k, n-k) and (n-k, k) clean over the whole moment
+    torus, near the diagonal too, when it can.  A random two-part tuple of
+    a proved composition is then counted among the samples as a point
+    without a rank decision of its own, so the notes' count includes such
+    draws.  The pair scan covers only the compositions that no
+    certificate proved, so a curve certified for every k runs no scan.
+    If the scan finds no witness but a certificate found a zero of its
+    Wronskian, a hyperplane that meets the curve more than n times, the
+    criterion fails with the zero of the smallest such k as its witness.
+    A call that raises keeps no proof it made.
     """
-    rng = np.random.default_rng(rng)
+    made = pair_scan and "two_part_proof" not in vars(curve)
+    try:
+        return _criterion(curve, samples, np.random.default_rng(rng),
+                          pair_scan, made)
+    except BaseException:
+        if made:
+            vars(curve).pop("two_part_proof", None)
+        raise
+
+
+def _criterion(curve, samples, rng, pair_scan, made) -> ConvexityReport:
     n = curve.n
     period = curve.projective_period
-    sep = MOMENT_SEP * period
-    results = [_wronskian_certificate(curve, k)
-               for k in range(1, n // 2 + 1)] if pair_scan else []
-    certified = {k for k, (proved, _) in enumerate(results, 1) if proved}
-    meets = next((w for _, w in results if w is not None), None)
+    proof = curve.two_part_proof if pair_scan else None
+    certified = proof.certified if pair_scan else ()
+    meets = proof.meets() if pair_scan else None
+    draws = []
     for _ in range(samples):
         parts = _random_composition(n, rng)
-        moments = projective.separated_moments(len(parts), period, sep, rng)
-        if len(parts) == 2 and min(parts) in certified:
-            continue
-        try:
-            dim = _intersection_dim_stable(curve, parts, moments)
-        except PrecisionError:
-            if meets is None:
-                raise
-            break
-        if dim != 0:
-            return ConvexityReport(
-                False, samples,
-                witness={"composition": parts,
-                         "moments": tuple(float(t) for t in moments),
-                         "dim": dim},
-                notes="osculating intersection is not a point",
-            )
+        draws.append((parts, projective.separated_moments(
+            len(parts), period, MOMENT_SEP * period, rng)))
+    stacks = {}
+    for i, (parts, _) in enumerate(draws):
+        if not (len(parts) == 2 and min(parts) in certified):
+            stacks.setdefault(parts, []).append(i)
+    dims = {}
+    for parts, idx in stacks.items():
+        dims.update(zip(idx, _rank_decisions(
+            curve, parts, [draws[i][1] for i in idx])))
+    stop = next((i for i in sorted(dims) if dims[i] != 0), None)
+    dim = dims.get(stop, 0)
+    deferred = isinstance(dim, PrecisionError) and meets is not None
+    if stop is None:
+        walk = "ran through every draw"
+    else:
+        walk = (f"stopped at draw {stop + 1} on " + (
+            f"dimension {dim}" if isinstance(dim, int) else type(dim).__name__)
+            + (", deferred to a zero of W" if deferred else ""))
     if pair_scan:
-        witness = _pair_scan(curve, skip=certified)
+        scan = ("kept" if "_scan" in vars(proof) else
+                "made" if stop is None or deferred else "not reached")
+        kept = f"certificates {'made' if made else 'kept'}, pair scan {scan}"
+    else:
+        kept = "not read"
+    _log.debug("criterion on %s: %d draws, %d skipped as proved, %d decided "
+               "in %d stacks, walk %s; two-part proof: %s", curve.model,
+               samples, samples - len(dims), len(dims), len(stacks), walk,
+               kept)
+    if isinstance(dim, Exception) and not deferred:
+        raise dim
+    if dim != 0 and not deferred:
+        parts, moments = draws[stop]
+        return ConvexityReport(
+            False, samples,
+            witness={"composition": parts,
+                     "moments": tuple(float(t) for t in moments),
+                     "dim": dim},
+            notes="osculating intersection is not a point",
+        )
+    if pair_scan:
+        witness = proof.scan()
         if witness is not None:
             return ConvexityReport(
                 False, samples, witness=witness,

@@ -33,7 +33,8 @@ class ParamCurve:
     coeffs[i, K+k] is the coefficient of exp(1j*(k/2)*t) in coordinate i.
     Instances are immutable, and they own their derived data: the projective
     period, the derivative and dual coefficients, the phases of the scale
-    grid, the dual curve and the elliptic hull are each computed at most once.
+    grid, the dual curve, the elliptic hull and the two-part convexity proof
+    are each computed at most once.
     """
 
     def __init__(self, coeffs, model: str = "fourier"):
@@ -72,10 +73,14 @@ class ParamCurve:
             raise ValueError(f"jet order must lie in 0..{self.n}")
         return self._jet_coeffs[: order + 1]
 
-    def jet(self, t: float, order: int) -> np.ndarray:
-        """Derivatives 0..order at one moment, shape (order+1, n+1)."""
-        ph = fourier.phase_matrix([float(t)], self.K)[0]
-        return np.real(np.einsum("ork,k->or", self.jet_coeffs(order), ph))
+    def jet(self, t, order: int) -> np.ndarray:
+        """Derivatives 0..order at a moment, shape (order+1, n+1).
+
+        An array of moments gives one jet per moment, shape (len(t),
+        order+1, n+1); the einsum keeps each moment's bits.
+        """
+        ph = fourier.phase_matrix(t, self.K)
+        return np.real(np.einsum("ork,...k->...or", self.jet_coeffs(order), ph))
 
     def jet_grid(self, ts: np.ndarray, order: int) -> np.ndarray:
         """Stacked jets on a grid, shape (len(ts), order+1, n+1).
@@ -152,6 +157,16 @@ class ParamCurve:
         from .hulls import elliptic_hull
 
         return elliptic_hull(self)
+
+    @cached_property
+    def two_part_proof(self):
+        """Certificates and pair scan of the two-part compositions, made once.
+
+        See convexity.TwoPartProof; check_convex_criterion reads it.
+        """
+        from .convexity import TwoPartProof
+
+        return TwoPartProof(self)
 
     def __repr__(self):
         return f"ParamCurve(n={self.n}, K={self.K}, model={self.model!r})"

@@ -19,14 +19,16 @@ from osculant import (
 from osculant import convexity
 from osculant.convexity import (MOMENT_SEP, _annihilators,
                                 _intersection_dim_stable, _pair_scan,
-                                _random_composition, _sigma_block,
+                                _random_composition, _rank_decisions,
+                                _sigma_block, _stacked_sigmas,
                                 _wronskian_certificate)
 from osculant.curves import (build_model, dual_curve, nonconvex_space_curve,
                              perturbed_circle)
 from osculant.errors import DegeneracyError, PrecisionError
 from osculant.projection import project_iterated
 from osculant.projective import (RANK_REL, intersect, joint_null,
-                                 osculating_subspace, separated_moments)
+                                 osculating_frame, osculating_subspace,
+                                 separated_moments)
 
 ASTROID = [[1], [0, .75, 0, 0, 0, .25, 0], [0, 0, .75, 0, 0, 0, -.25]]
 
@@ -278,18 +280,29 @@ def test_cusp_on_the_scan_grid_is_a_degeneracy():
                 _sigma_block(astroid, 1, [t1], [t2], sep)
 
 
+def _proof_records(caplog):
+    """Certificate and pair-scan records, without the criterion's own."""
+    return [r.getMessage() for r in caplog.records if r.name == "osculant"
+            and not r.getMessage().startswith("criterion on")]
+
+
 def test_pair_scan_logs_one_record_per_composition(trig, caplog):
     check_convex_criterion(trig[3], samples=5, rng=0)
     assert not [r for r in caplog.records if r.name == "osculant"]
     caplog.set_level(logging.DEBUG, logger="osculant")
-    check_convex_criterion(trig[3], samples=5, rng=0)
-    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    # records appear when a curve's proof is made, so the curve is fresh
+    c = build_model("trig_convex", 3)
+    check_convex_criterion(c, samples=5, rng=0)
+    msgs = _proof_records(caplog)
     # n = 3 has no composition left for the scan once (1, 2) is certified
     assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 2)"]
     assert all("certified by osculating-hyperplane positivity" in m
                and "covers (2, 1)" in m and "margin" in m and "slack" in m
                and "256x256 grid" in m and "deflation remainder" in m
                for m in msgs)
+    caplog.clear()
+    check_convex_criterion(c, samples=5, rng=1)
+    assert _proof_records(caplog) == []
 
 
 def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
@@ -305,14 +318,19 @@ def test_self_mirrored_composition_skips_mirror_candidates(trig, caplog):
         msgs[1]).groups())
     assert refined < 12
     assert skipped >= 1
-    # the criterion proves both compositions and scans neither
+    # the criterion proves both compositions and scans neither; records
+    # appear when a curve's proof is made, so the curve is fresh
     caplog.clear()
-    check_convex_criterion(trig[4], samples=5, rng=0)
-    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    c = build_model("trig_convex", 4)
+    check_convex_criterion(c, samples=5, rng=0)
+    msgs = _proof_records(caplog)
     assert [m.split(":")[0] for m in msgs] == ["pair scan (1, 3)",
                                                "pair scan (2, 2)"]
     assert "certified by osculating-hyperplane positivity" in msgs[0]
     assert "certified by Wronskian positivity, covers (2, 2)" in msgs[1]
+    caplog.clear()
+    check_convex_criterion(c, samples=5, rng=1)
+    assert _proof_records(caplog) == []
 
 
 def test_pair_scan_refines_only_local_minima(rational, caplog):
@@ -465,6 +483,150 @@ def test_refused_draw_defers_to_a_wronskian_zero():
     assert report.notes == "pair scan found a rank drop"
     assert report.witness["composition"] == (2, 2)
     assert report.witness["dim"] == 1
+
+
+def test_stacked_rank_decisions_are_the_per_draw_path(trig, rational):
+    # per draw: one jet per moment, osculating_frame, then joint_null's SVD
+    # read at RANK_REL and 10 RANK_REL
+    curves = [c for n in range(2, 7) for c in (trig[n], rational[n])]
+    curves += [dual_curve(rational[4]), nonconvex_space_curve(),
+               perturbed_circle(0.3)]
+    for c in curves:
+        n, period = c.n, c.projective_period
+        rng = np.random.default_rng(11)
+        stacks = {}
+        for _ in range(200):
+            parts = _random_composition(n, rng)
+            stacks.setdefault(parts, []).append(separated_moments(
+                len(parts), period, MOMENT_SEP * period, rng))
+        for parts, draws in stacks.items():
+            sigmas = _stacked_sigmas(c, parts, draws)
+            decisions = _rank_decisions(c, parts, draws)
+            for moments, sig, decided in zip(draws, sigmas, decisions):
+                anns = [osculating_frame(c.jet(float(t), n - k))[n - k + 1:]
+                        for k, t in zip(parts, moments)]
+                want = np.linalg.svd(np.vstack(anns))[1]
+                assert np.array_equal(sig, want), (c.model, parts, moments)
+                dim, dim10 = (len(null) - 1 for null in joint_null(
+                    anns, RANK_REL, 10 * RANK_REL))
+                if dim == dim10:
+                    assert decided == dim
+                else:
+                    assert isinstance(decided, PrecisionError)
+
+
+def test_degenerate_draw_refuses_only_itself():
+    # the astroid's velocity vanishes at pi/2; the draws beside it in the
+    # stack keep the decisions they have alone
+    astroid = build_model("fourier", 2, ASTROID)
+    draws = [(0.3, 1.2), (np.pi / 2, 2.5), (0.7, 2.9)]
+    decisions = _rank_decisions(astroid, (1, 1), draws)
+    assert isinstance(decisions[1], DegeneracyError)
+    assert str(decisions[1]) == "a jet of order 1 has a vanishing row"
+    for moments, decided in zip(draws[::2], decisions[::2]):
+        assert decided == _intersection_dim_stable(astroid, (1, 1), moments)
+    with pytest.raises(DegeneracyError):
+        _intersection_dim_stable(astroid, (1, 1), draws[1])
+
+
+def _refuse_proof(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the two-part proof was made again")
+    monkeypatch.setattr(convexity, "_wronskian_certificate", refuse)
+    monkeypatch.setattr(convexity, "_sigma_block", refuse)
+
+
+def test_second_criterion_call_reads_the_kept_proof(monkeypatch):
+    curves = [build_model("trig_convex", 4),
+              dual_curve(build_model("rational_normal", 4)),
+              nonconvex_space_curve(), perturbed_circle(0.3),
+              perturbed_circle(0.102), _random_fourier_curve(4, 0.04, 8)]
+    first = [check_convex_criterion(c, 30, rng=8) for c in curves]
+    assert [r.notes for r in first[2:]] == [SCAN, SCAN, MEETS, SCAN]
+    _refuse_proof(monkeypatch)
+    for c, report in zip(curves, first):
+        assert check_convex_criterion(c, 30, rng=8) == report, c.model
+
+
+def test_edited_witnesses_leave_the_next_report_unchanged(monkeypatch):
+    curves = [nonconvex_space_curve(), perturbed_circle(0.102)]
+    reports = [check_convex_criterion(c, 50, rng=1) for c in curves]
+    assert [r.notes for r in reports] == [SCAN, MEETS]
+    want = [dict(r.witness) for r in reports]
+    for r in reports:
+        r.witness["composition"] = (9, 9)
+        r.witness.pop("moments")
+    _refuse_proof(monkeypatch)
+    for c, w in zip(curves, want):
+        assert check_convex_criterion(c, 50, rng=1).witness == w
+
+
+def test_a_call_that_raises_keeps_no_proof():
+    astroid = build_model("fourier", 2, ASTROID)
+    with pytest.raises(DegeneracyError):
+        check_convex_criterion(astroid, samples=10, rng=0)
+    assert "two_part_proof" not in vars(astroid)
+    # this draw's rank decision flips, and no W of trig_convex:6 has a zero
+    c = build_model("trig_convex", 6)
+    rng = np.random.default_rng(4)
+    with pytest.raises(PrecisionError, match="flips from 0 to 1"):
+        check_convex_criterion(c, 50, rng=rng)
+    assert "two_part_proof" not in vars(c)
+    # every tuple was drawn before the walk stopped
+    period = c.projective_period
+    ref = np.random.default_rng(4)
+    for _ in range(50):
+        parts = _random_composition(c.n, ref)
+        separated_moments(len(parts), period, MOMENT_SEP * period, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert check_convex_criterion(c, 20, rng=0, pair_scan=False)
+    assert "two_part_proof" not in vars(c)
+
+
+CRITERION_RECORD = re.compile(
+    r"criterion on (.+): (\d+) draws, (\d+) skipped as proved, (\d+) decided "
+    r"in (\d+) stacks, walk (.+); two-part proof: (.+)")
+
+
+def test_criterion_logs_one_record_per_call(caplog):
+    check_convex_criterion(nonconvex_space_curve(), samples=20, rng=0)
+    assert not [r for r in caplog.records if r.name == "osculant"]
+    caplog.set_level(logging.DEBUG, logger="osculant")
+    space, trig4 = nonconvex_space_curve(), build_model("trig_convex", 4)
+    cases = [
+        (space, 50, 1, True, "ran through every draw",
+         "certificates made, pair scan made"),
+        (space, 50, 1, True, "ran through every draw",
+         "certificates kept, pair scan kept"),
+        (trig4, 50, 1, False, "ran through every draw", "not read"),
+        (trig4, 50, 1, True, "ran through every draw",
+         "certificates made, pair scan made"),
+        (_random_fourier_curve(4, 0.04, 8), 30, 8, True,
+         "stopped at draw 9 on PrecisionError, deferred to a zero of W",
+         "certificates made, pair scan made"),
+        (build_model("trig_convex", 6), 50, 4, True,
+         "stopped at draw 11 on PrecisionError",
+         "certificates made, pair scan not reached"),
+    ]
+    # the draws at which the walk stops are those at which a draw-by-draw
+    # criterion raised
+    for c, samples, seed, scan, walk, proof in cases:
+        caplog.clear()
+        try:
+            check_convex_criterion(c, samples, rng=seed, pair_scan=scan)
+        except PrecisionError:
+            pass
+        msgs = [r.getMessage() for r in caplog.records
+                if r.name == "osculant" and r.getMessage().startswith(
+                    "criterion on")]
+        assert len(msgs) == 1, msgs
+        model, drawn, skipped, decided, stacks, got_walk, got_proof = \
+            CRITERION_RECORD.fullmatch(msgs[0]).groups()
+        assert (model, int(drawn)) == (c.model, samples)
+        assert int(skipped) + int(decided) == samples
+        assert (int(skipped) > 0) == (scan and c.model.startswith("trig"))
+        assert 1 <= int(stacks) <= 2 ** (c.n - 1)
+        assert (got_walk, got_proof) == (walk, proof)
 
 
 def test_criterion_without_pair_scan_skips_the_certificate(trig, monkeypatch):

@@ -80,6 +80,22 @@ def test_jet_grid_rows_are_evaluate_bit_for_bit(trig, rational):
             c.jet_coeffs(c.n + 1)
 
 
+def test_stacked_jets_are_per_moment_jets_bit_for_bit(trig, rational):
+    # the criterion decides its random draws from one jet per part over
+    # the stacked moments; each must be the jet of its moment alone
+    curves = (trig[4], trig[5], rational[3], rational[6],
+              dual_curve(rational[4]), nonconvex_space_curve())
+    rng = np.random.default_rng(3)
+    for c in curves:
+        ts = rng.uniform(0.0, c.projective_period, 400)
+        for order in range(c.n + 1):
+            stack = c.jet(ts, order)
+            assert stack.shape == (400, order + 1, c.n + 1)
+            for t, jet in zip(ts, stack):
+                assert np.array_equal(jet, c.jet(float(t), order)), \
+                    (c.model, order, t)
+
+
 def test_curve_from_spec_file(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"model": "trig_convex", "n": 3}))
