@@ -25,8 +25,8 @@ from .projective import (ProjPoint, Subspace, merge_moments, normalize,
                          osculating_subspace, same_subspace)
 from .strata import (FiberPoint, StratumData, component_census, realize,
                      rescale_moments, stratum_label, tangency_data, transport)
-from .tangency import (RootCount, count_roots, order_of_tangency,
-                       tangency_function)
+from .tangency import (RootCount, count_roots, count_roots_many,
+                       order_of_tangency, tangency_function)
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,7 @@ __all__ = [
     "check_convex_sampling",
     "component_census",
     "count_roots",
+    "count_roots_many",
     "curve_from_spec",
     "dual_curve",
     "elliptic_hull",

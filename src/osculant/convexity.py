@@ -29,6 +29,7 @@ import functools
 import itertools
 import logging
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -38,7 +39,7 @@ import numpy as np
 from . import fourier, projective
 from .errors import DegeneracyError, PrecisionError
 from .projective import RANK_REL
-from .tangency import count_roots
+from .tangency import block_note, block_sizes, count_roots_many
 
 _log = logging.getLogger("osculant")
 
@@ -73,6 +74,13 @@ def check_convex_sampling(curve, trials: int = 1000,
     counted with multiplicity disproves convexity and is returned as the
     witness.  Points that defeat the root counter are redrawn, with a cap
     of 5 percent of the requested trials.
+
+    Points are drawn and counted in blocks (tangency.block_sizes, never more
+    than the trials still to do) and walked in order, so an error in a row
+    past the witness is never raised.  A Generator passed in advances by
+    whole blocks, past the witness when there is one; integer seeds give
+    the same points and reports as one draw per point.  One DEBUG record
+    per call gives the trials, the redraws and the block tally.
     """
     rng = np.random.default_rng(rng)
     n = curve.n
@@ -80,28 +88,36 @@ def check_convex_sampling(curve, trials: int = 1000,
     retries = 0
     max_seen = 0
     done = 0
-    while done < trials:
-        p = rng.standard_normal(n + 1)
-        try:
-            rc = count_roots(curve, p)
-        except PrecisionError:
-            retries += 1
-            if retries > retry_cap:
-                raise
-            continue
-        done += 1
-        max_seen = max(max_seen, rc.total)
-        if rc.total > n:
-            return ConvexityReport(
-                False, done, max_seen,
-                witness={"point": tuple(float(x) for x in p),
-                         "total": rc.total,
-                         "tangencies": rc.tangencies},
-                notes=f"found a point with {rc.total} > {n} "
-                      "tangent hyperplanes",
-            )
-    return ConvexityReport(True, done, max_seen,
-                           notes=f"no violation found in {done} trials")
+    tally, sizes = Counter(), block_sizes()
+    try:
+        while done < trials:
+            pts = rng.standard_normal((min(next(sizes), trials - done), n + 1))
+            tally.update(rows=len(pts), blocks=1)
+            for p, rc in zip(pts, count_roots_many(curve, pts, tally)):
+                tally["walked"] += 1
+                if isinstance(rc, PrecisionError):
+                    retries += 1
+                    if retries > retry_cap:
+                        raise rc
+                    continue
+                if isinstance(rc, Exception):
+                    raise rc
+                done += 1
+                max_seen = max(max_seen, rc.total)
+                if rc.total > n:
+                    return ConvexityReport(
+                        False, done, max_seen,
+                        witness={"point": tuple(float(x) for x in p),
+                                 "total": rc.total,
+                                 "tangencies": rc.tangencies},
+                        notes=f"found a point with {rc.total} > {n} "
+                              "tangent hyperplanes",
+                    )
+        return ConvexityReport(True, done, max_seen,
+                               notes=f"no violation found in {done} trials")
+    finally:
+        _log.debug("sampling %s: %d trials, %d redrawn; %s", curve.model,
+                   done, retries, block_note(tally))
 
 
 def _random_composition(n: int, rng) -> tuple[int, ...]:

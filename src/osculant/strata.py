@@ -25,7 +25,8 @@ from .forms import exact_count
 from .projective import (ProjPoint, normalize, osculating_intersection,
                          point_vector, separated_moments)
 from .projection import project_iterated
-from .tangency import RootCount, count_roots
+from .tangency import (RootCount, block_note, block_sizes, count_roots,
+                       count_roots_many)
 
 __all__ = [
     "FiberPoint",
@@ -75,9 +76,14 @@ def stratum_label(c: ParamCurve, p) -> int:
     return (c.n - _parity_checked(c, p).total) // 2
 
 
-def _parity_checked(c: ParamCurve, p) -> RootCount:
-    """count_roots, refused with OnDiscriminantError on a wrong-parity total."""
-    rc = count_roots(c, p)
+def _parity_checked(c: ParamCurve, p, rc=None) -> RootCount:
+    """count_roots, refused with OnDiscriminantError on a wrong-parity total.
+
+    rc, when given, is count_roots_many's result for p, raised if an error.
+    """
+    rc = count_roots(c, p) if rc is None else rc
+    if isinstance(rc, Exception):
+        raise rc
     if (c.n - rc.total) % 2 != 0:
         raise OnDiscriminantError(
             f"tangency total {rc.total} has the wrong parity for dimension "
@@ -201,6 +207,22 @@ def _census_point(c: ParamCurve, rng: np.random.Generator) -> np.ndarray:
     return base + 1e-3 * rng.standard_normal(n + 1)
 
 
+def _draws(draw, k: int):
+    """k results of draw(), or those before the one that raised, and its error."""
+    out = []
+    try:
+        for _ in range(k):
+            out.append(draw())
+    except Exception as exc:
+        return out, exc
+    return out, None
+
+
+def _nudged_pair(c: ParamCurve, rng: np.random.Generator):
+    v = _census_point(c, rng)
+    return v, v + 1e-5 * np.linalg.norm(v) * rng.standard_normal(c.n + 1)
+
+
 def component_census(c: ParamCurve, samples: int, seed: int = 0,
                      constancy_checks: int = 100) -> dict:
     """Histogram of tangency counts over random points, plus component count.
@@ -213,28 +235,41 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
     discriminant, discarded and redrawn, when exact_count confirms both
     counts; otherwise, or on a curve without an exact oracle, it raises
     GeometryError.  If 10 * constancy_checks draws do not yield that many
-    certified pairs, the census raises PrecisionError.  Each phase logs its
-    draws and discards at DEBUG, also when it raises.
+    certified pairs, the census raises PrecisionError.
+
+    Both phases draw their points in the order of one draw per count, and
+    count them with count_roots_many in blocks (tangency.block_sizes, never
+    more than the phase can still use), walked in order: a count or a draw
+    that raises past the stop is never reached.  Each phase logs its draws,
+    discards and block tally at DEBUG, also when it raises.
     """
     n = c.n
     rng = np.random.default_rng(seed)
     expected = set(range(n % 2, n + 1, 2))
     hist: dict[int, int] = {}
     refused: Counter = Counter()
+    tally, sizes = Counter(), block_sizes()
     try:
-        for _ in range(samples):
-            v = _census_point(c, rng)
-            try:
-                total = _parity_checked(c, v).total
-            except (PrecisionError, OnDiscriminantError) as exc:
-                refused[type(exc)] += 1
-                continue
-            if total not in expected:
-                raise GeometryError(
-                    f"tangency count {total} observed; dimension {n} admits "
-                    f"only {sorted(expected)}"
-                )
-            hist[total] = hist.get(total, 0) + 1
+        while tally["rows"] < samples:
+            pts, err = _draws(lambda: _census_point(c, rng),
+                              min(next(sizes), samples - tally["rows"]))
+            tally.update(rows=len(pts), blocks=1)
+            res = count_roots_many(c, pts, tally)
+            for i, v in enumerate(pts):
+                tally["walked"] += 1
+                try:
+                    total = _parity_checked(c, v, res[i]).total
+                except (PrecisionError, OnDiscriminantError) as exc:
+                    refused[type(exc)] += 1
+                    continue
+                if total not in expected:
+                    raise GeometryError(
+                        f"tangency count {total} observed; dimension {n} admits "
+                        f"only {sorted(expected)}"
+                    )
+                hist[total] = hist.get(total, 0) + 1
+            if err is not None:
+                raise err
         if set(hist) != expected:
             missing = sorted(expected - set(hist))
             raise PrecisionError(
@@ -242,40 +277,52 @@ def component_census(c: ParamCurve, samples: int, seed: int = 0,
             )
     finally:
         _log.debug("census %s sampling: %d of %d kept; discarded PrecisionError "
-                   "%d, OnDiscriminantError %d", c.model, sum(hist.values()),
-                   samples, refused[PrecisionError], refused[OnDiscriminantError])
+                   "%d, OnDiscriminantError %d; %s", c.model, sum(hist.values()),
+                   samples, refused[PrecisionError], refused[OnDiscriminantError],
+                   block_note(tally))
+    cap = _CONSTANCY_DRAWS * constancy_checks
     checked = draws = 0
     refused = Counter()
+    tally, sizes = Counter(), block_sizes()
     try:
         while checked < constancy_checks:
-            if draws >= _CONSTANCY_DRAWS * constancy_checks:
+            if draws >= cap:
                 raise PrecisionError(
                     f"constancy check discarded {draws - checked} of {draws} "
                     f"draws before reaching {constancy_checks} certified pairs"
                 )
-            draws += 1
-            v = _census_point(c, rng)
-            w = v + 1e-5 * np.linalg.norm(v) * rng.standard_normal(n + 1)
-            try:
-                a = _parity_checked(c, v).total
-                b = _parity_checked(c, w).total
-            except (PrecisionError, OnDiscriminantError) as exc:
-                refused[type(exc)] += 1
-                continue
-            if a != b:
-                if (exact_count(c, v), exact_count(c, w)) != (a, b):
-                    raise GeometryError(
-                        f"tangency count jumped {a} -> {b} under a 1e-5 "
-                        "perturbation, unconfirmed by an exact count"
-                    )
-                refused["straddle"] += 1   # v and w lie across the discriminant
-                continue
-            checked += 1
+            pairs, err = _draws(lambda: _nudged_pair(c, rng),
+                                min(next(sizes), constancy_checks - checked,
+                                    cap - draws))
+            tally.update(rows=2 * len(pairs), blocks=1)
+            res = count_roots_many(c, [x for pair in pairs for x in pair], tally)
+            for i, (v, w) in enumerate(pairs):
+                draws += 1
+                tally["walked"] += 2
+                try:
+                    a = _parity_checked(c, v, res[2 * i]).total
+                    b = _parity_checked(c, w, res[2 * i + 1]).total
+                except (PrecisionError, OnDiscriminantError) as exc:
+                    refused[type(exc)] += 1
+                    continue
+                if a != b:
+                    if (exact_count(c, v), exact_count(c, w)) != (a, b):
+                        raise GeometryError(
+                            f"tangency count jumped {a} -> {b} under a 1e-5 "
+                            "perturbation, unconfirmed by an exact count"
+                        )
+                    refused["straddle"] += 1   # v and w lie across the discriminant
+                    continue
+                checked += 1
+            if err is not None:
+                draws += 1
+                raise err
     finally:
         _log.debug("census %s constancy: %d pairs certified in %d draws; discarded "
-                   "PrecisionError %d, OnDiscriminantError %d, straddle %d",
+                   "PrecisionError %d, OnDiscriminantError %d, straddle %d; %s",
                    c.model, checked, draws, refused[PrecisionError],
-                   refused[OnDiscriminantError], refused["straddle"])
+                   refused[OnDiscriminantError], refused["straddle"],
+                   block_note(tally))
     return {
         "n": n,
         "samples": samples,

@@ -20,7 +20,7 @@ osculating flag.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,24 +80,159 @@ _UNIT_BAND = 1e-2       # ||u| - 1| of root candidates; high-order zeros split o
 _DERIV_REL = 1e-6       # a derivative is nonzero above _DERIV_REL times its scale
 
 
+BLOCK_ROWS = 64   # row cap of the samplers' blocks; bounds the scale products at about 4 MB
+
+
+def block_sizes():
+    """Row counts of a sampler's successive count_roots_many blocks.
+
+    1, 2, 4, ... up to BLOCK_ROWS, then BLOCK_ROWS: a sampler that stops
+    early, at a witness of non-convexity, counts few rows past its stop.
+    """
+    k = 1
+    while True:
+        yield k
+        k = min(2 * k, BLOCK_ROWS)
+
+
+def block_note(tally) -> str:
+    """DEBUG text of a sampler's block tally (a Counter of rows counted,
+    blocks, rows walked and rows scanned above order 1)."""
+    return (f"{tally['rows']} rows counted in {tally['blocks']} blocks, "
+            f"{tally['rows'] - tally['walked']} past the stop, "
+            f"{tally['scanned']} scanned above order 1")
+
+
 def count_roots(curve, p) -> RootCount:
     """All tangency moments of p with orders; total counted with multiplicity.
 
-    A zero whose order cannot be certified raises PrecisionError.
+    A zero whose order cannot be certified raises PrecisionError.  This is
+    the one-row call of count_roots_many.
+    """
+    rc = count_roots_many(curve, [p])[0]
+    if isinstance(rc, Exception):
+        raise rc
+    return rc
+
+
+def count_roots_many(curve, points, stats=None) -> list:
+    """count_roots of each point: its RootCount, or the exception it raises.
+
+    The work shared by the rows is stacked, and each stacked product rounds
+    as the one-row product it replaces: the F_p rows are one product with
+    dual_coeffs, each scale is one gemv per row on the scale grid, the
+    folded companion matrices share one eigvals, and the candidate values
+    are one gemv per row for each candidate count.  A row whose end
+    coefficient is 0 (np.roots strips it) or whose companion matrix is not
+    finite goes through np.roots.  The order scan runs per row on its kept
+    sites.  A dual spectrum that mixes residue classes raises for the whole
+    call.  stats, a Counter, gains "scanned": the rows whose order scan
+    goes above order 1 (roots and two or more candidates).
     """
     n = curve.n
     s, j0 = curve.dual_fold
-    F = tangency_function(curve, p)
     period = curve.projective_period
-    scale = _scales(curve, F)
-    if scale(0) == 0.0 or not np.isfinite(scale(0)):
-        raise DegeneracyError("tangency function vanished identically")
-    zero_thr = _ZERO_REL * scale(0)
+    out: list = [None] * len(points)
+    rows, V = [], []
+    for i, p in enumerate(points):
+        try:
+            V.append(_point_vec(p, n + 1))
+            rows.append(i)
+        except Exception as exc:
+            out[i] = exc
+    if not rows:
+        return out
+    # F_p = (-1)^n <gamma*, p>, row by row as tangency_function builds it
+    R = (-1) ** n * np.matmul(np.array(V)[:, None, :], curve.dual_coeffs)[:, 0]
+    Fs = [fourier.TrigPoly(r) for r in R]
+    H = np.array([F.coeffs for F in Fs])
+    scale0 = _scales(curve, H)
+    zero_thr = _ZERO_REL * scale0
     # u^K F = u^j0 Q(u^s): one eigenvalue w = u^s per zero on the period
-    w = np.roots(F.coeffs[j0::s][::-1])
-    w = w[np.abs(np.abs(w) ** (1.0 / s) - 1.0) <= _UNIT_BAND]
-    cands = np.array([fold(a, period) for a in (2.0 / s) * np.angle(w)])
-    roots = cands[np.abs(F(cands)) <= zero_thr]
+    W = _stacked_roots(H[:, j0::s][:, ::-1])
+    cands = [np.array([fold(a, period) for a in (2.0 / s) * np.angle(
+                 w[np.abs(np.abs(w) ** (1.0 / s) - 1.0) <= _UNIT_BAND])])
+             if isinstance(w, np.ndarray) else np.zeros(0) for w in W]
+    counts = [c.size for c in cands]
+    nu = fourier.frequencies(fourier.halfspan(H))
+    roots = list(cands)
+    for k in set(counts) - {0}:
+        idx = [r for r, c in enumerate(counts) if c == k]
+        C = np.array([cands[r] for r in idx])
+        ph = np.exp(1j * np.multiply.outer(C, nu))
+        G, thr = (H, zero_thr) if len(idx) == len(H) else (H[idx], zero_thr[idx])
+        keep = np.abs(np.real(np.matmul(ph, G[..., None]))[..., 0]) <= thr[:, None]
+        for r, c_r, keep_r in zip(idx, C, keep):
+            roots[r] = c_r[keep_r]
+    # a row's order scan reads scale(j) only up to its candidate count; its
+    # F keeps the derivative coefficients that the scan evaluates again
+    top = [min(k, n) if rt.size else 0 for k, rt in zip(counts, roots)]
+    D = [F.deriv_coeffs(j) for F, t in zip(Fs, top) for j in range(1, t + 1)]
+    higher = iter(_scales(curve, np.array(D)) if D else ())
+    if stats is not None:
+        stats.update(scanned=sum(t >= 2 for t in top))
+    for r, i in enumerate(rows):
+        scale = [scale0[r], *itertools.islice(higher, top[r])]
+        if scale[0] == 0.0 or not np.isfinite(scale[0]):
+            out[i] = DegeneracyError("tangency function vanished identically")
+        elif not isinstance(W[r], np.ndarray):
+            out[i] = W[r]
+        elif not top[r]:
+            out[i] = RootCount((), 0)
+        else:
+            try:
+                out[i] = _tally(Fs[r], roots[r], cands[r], scale,
+                                zero_thr[r], n, period)
+            except Exception as exc:
+                out[i] = exc
+    return out
+
+
+def _stacked_roots(P: np.ndarray) -> list:
+    """np.roots of each row of descending coefficients P, or the error it raises.
+
+    The finite companion matrices of rows with nonzero end coefficients
+    share one eigvals, which gives np.roots' bits; the other rows go through
+    np.roots itself.  A block whose end coefficients are all nonzero tries
+    that eigvals on every row first and sorts its rows only when a
+    companion matrix is not finite.
+    """
+    N, d = P.shape[0], P.shape[1] - 1
+    A = np.zeros((N, d, d), complex)
+    A.reshape(N, d * d)[:, d::d + 1] = 1.0      # the subdiagonal
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        A[:, :1] = -P[:, None, 1:] / P[:, None, :1]
+    if P[:, 0].all() and P[:, -1].all():
+        try:
+            return list(np.linalg.eigvals(A))
+        except np.linalg.LinAlgError:
+            pass        # a companion matrix that is not finite: sort the rows
+    own = (P[:, 0] == 0) | (P[:, -1] == 0) | ~np.isfinite(A[:, :1]).all(axis=(1, 2))
+    stacked = iter(np.linalg.eigvals(A[~own]))
+    out = []
+    for row, alone in zip(P, own):
+        try:
+            out.append(np.roots(row) if alone else next(stacked))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _scales(curve, D: np.ndarray) -> np.ndarray:
+    """max |F| on the curve's scale grid for each row D of coefficients.
+
+    One gemv per row, as fourier.evaluate makes it (a GEMM rounds
+    otherwise), and BLOCK_ROWS rows per product.
+    """
+    out = np.empty(len(D))
+    for k in range(0, len(D), BLOCK_ROWS):
+        vals = np.matmul(curve.scale_phases, D[k:k + BLOCK_ROWS, :, None])[..., 0]
+        out[k:k + BLOCK_ROWS] = np.abs(np.real(vals)).max(axis=1)
+    return out
+
+
+def _tally(F, roots, cands, scale, zero_thr, n, period) -> RootCount:
+    """RootCount of F from its zero candidates roots, one site per group."""
     sites = sorted(_assign_order(F, tau, cands, scale, zero_thr, n, period)
                    for tau in roots)
     # the eigenvalues of one zero polish to one location: keep the first
@@ -105,12 +240,6 @@ def count_roots(curve, p) -> RootCount:
     groups = circular_clusters([t for t, _ in sites], period, MERGE)
     tangencies = [(sites[min(g)][0], max(sites[i][1] for i in g)) for g in groups]
     return RootCount(tuple(sorted(tangencies)), sum(m for _, m in tangencies))
-
-
-def _scales(curve, F: fourier.TrigPoly):
-    """j -> max |F^(j)| on the curve's scale grid, by fourier.evaluate's product."""
-    ph = curve.scale_phases
-    return functools.cache(lambda j: np.abs(np.real(ph @ F.deriv_coeffs(j))).max())
 
 
 def _newton_polish(G, t0: float, window: float):
@@ -150,8 +279,8 @@ def _assign_order(F, tau, cands, scale, zero_thr, n, period):
     eps = np.finfo(float).eps
     gaps = np.sort(circular_gap(cands, tau, period))
     for m in range(min(n, gaps.size), 1, -1):
-        s_m = max(scale(m), eps * scale(0))
-        window = 10.0 * (eps * scale(0) * math.factorial(m) / s_m) ** (1.0 / m) + 1e-12
+        s_m = max(scale[m], eps * scale[0])
+        window = 10.0 * (eps * scale[0] * math.factorial(m) / s_m) ** (1.0 / m) + 1e-12
         if gaps[m - 1] > 2.0 * window:
             continue
         t2 = _newton_polish(F.deriv(m - 1), tau, window)
@@ -159,12 +288,12 @@ def _assign_order(F, tau, cands, scale, zero_thr, n, period):
             continue
         if abs(float(F(t2))) > zero_thr:
             continue
-        if any(abs(float(F(t2, order=j))) > _DERIV_REL * scale(j)
+        if any(abs(float(F(t2, order=j))) > _DERIV_REL * scale[j]
                for j in range(1, m)):
             continue
-        if abs(float(F(t2, order=m))) > _DERIV_REL * scale(m):
+        if abs(float(F(t2, order=m))) > _DERIV_REL * scale[m]:
             return fold(t2, period), m
-    if abs(float(F(tau, order=1))) > _DERIV_REL * scale(1):
+    if abs(float(F(tau, order=1))) > _DERIV_REL * scale[1]:
         return fold(tau, period), 1
     raise PrecisionError(
         f"cannot certify the tangency order at t={tau:.12g}; "

@@ -16,7 +16,7 @@ from osculant import (
     count_roots,
     fourier,
 )
-from osculant import convexity
+from osculant import convexity, tangency
 from osculant.convexity import (MOMENT_SEP, _annihilators,
                                 _intersection_dim_stable, _pair_scan,
                                 _random_composition, _rank_decisions,
@@ -705,3 +705,86 @@ def test_reports_are_deterministic_for_fixed_seed(trig):
     b = check_convex_sampling(trig[3], trials=60, rng=7)
     assert (a.verdict, a.trials, a.max_roots_seen) == \
            (b.verdict, b.trials, b.max_roots_seen)
+
+
+class _Planted(np.random.Generator):
+    """A Generator whose standard_normal rows at the given draw indices are
+    replaced by planted rows."""
+
+    def __init__(self, seed, planted):
+        super().__init__(np.random.PCG64(seed))
+        self.planted, self.rows = planted, 0
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        out = super().standard_normal(size, *args, **kwargs)
+        for row in np.atleast_2d(out):
+            row[...] = self.planted.get(self.rows, row)
+            self.rows += 1
+        return out
+
+
+def _block_ends():
+    """Last row index of each of the first 40 sampling blocks."""
+    ends = itertools.accumulate(itertools.islice(tangency.block_sizes(), 40))
+    return {end - 1 for end in ends}
+
+
+def test_sampling_walks_its_blocks_in_order():
+    # the witness stops the walk: a bad row later in its block is counted
+    # but never raised, and the same bad row before the witness raises
+    c = perturbed_circle(0.3)
+    bad = np.full(3, np.nan)
+    planted_after = 0
+    for seed in range(12):
+        want = check_convex_sampling(c, 400, rng=_Planted(seed, {}))
+        assert not want
+        w = want.trials - 1            # no redraws on this curve
+        if w not in _block_ends():
+            got = check_convex_sampling(c, 400, rng=_Planted(seed, {w + 1: bad}))
+            assert got == want
+            planted_after += 1
+        if w > 0:
+            with pytest.raises(ValueError, match="finite"):
+                check_convex_sampling(c, 400, rng=_Planted(seed, {w - 1: bad}))
+    assert planted_after >= 3
+
+
+def test_sampling_draws_blocks_from_the_same_stream():
+    # integer seeds: one standard_normal((b, n+1)) per block reads the
+    # stream of b single draws, so every report is the one-draw report
+    c = perturbed_circle(0.3)
+    for seed in range(4):
+        report = check_convex_sampling(c, 400, rng=seed)
+        rng = np.random.default_rng(seed)
+        for k in range(report.trials):
+            p = rng.standard_normal(3)
+        assert report.witness["point"] == tuple(float(x) for x in p)
+        assert report.witness["total"] == count_roots(c, p).total
+
+
+def test_sampling_with_no_trials_draws_nothing(trig):
+    for trials in (0, -5):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        report = check_convex_sampling(trig[3], trials, rng=rng)
+        assert report == convexity.ConvexityReport(
+            True, 0, 0, notes="no violation found in 0 trials")
+        assert rng.bit_generator.state == state
+
+
+def test_sampling_logs_one_record_per_call(trig, caplog):
+    c = perturbed_circle(0.3)
+    want = check_convex_sampling(c, 400, rng=1)
+    quiet = check_convex_sampling(trig[4], 50, rng=2)
+    assert not [r for r in caplog.records if r.name == "osculant"]
+    caplog.set_level(logging.DEBUG, logger="osculant")
+    assert check_convex_sampling(c, 400, rng=1) == want
+    assert check_convex_sampling(trig[4], 50, rng=2) == quiet
+    msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
+    assert len(msgs) == 2
+    assert re.fullmatch(
+        rf"sampling fourier: {want.trials} trials, 0 redrawn; "
+        r"\d+ rows counted in \d+ blocks, \d+ past the stop, \d+ scanned "
+        r"above order 1", msgs[0])
+    assert msgs[1].startswith("sampling trig_convex(4): 50 trials, 0 redrawn; "
+                              "50 rows counted in 6 blocks, 0 past the stop, ")

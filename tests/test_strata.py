@@ -203,6 +203,33 @@ def test_parity_mismatch_is_an_on_discriminant_signal(monkeypatch, trig):
     assert np.array_equal(exc.value.point, [1.0, 0.0, 0.0])
 
 
+class _ReadOnDemand:
+    """count_roots_many's results from a per-point fake, each made when the
+    census first reads it, so the fake sees the points the census reads."""
+
+    def __init__(self, fake, c, pts):
+        self._fake, self._c, self._pts, self._got = fake, c, pts, {}
+
+    def __len__(self):
+        return len(self._pts)
+
+    def __getitem__(self, i):
+        if i not in self._got:
+            try:
+                self._got[i] = self._fake(self._c, self._pts[i])
+            except Exception as exc:
+                self._got[i] = exc
+        return self._got[i]
+
+
+def _count_with(monkeypatch, fake):
+    """Make the census count each point it reads with fake(c, p)."""
+    import osculant.strata as strata
+
+    monkeypatch.setattr(strata, "count_roots_many",
+                        lambda c, pts, stats=None: _ReadOnDemand(fake, c, pts))
+
+
 def test_census_constancy_draws_are_bounded(monkeypatch, trig):
     import osculant.strata as strata
     from osculant.cli import main
@@ -220,7 +247,7 @@ def test_census_constancy_draws_are_bounded(monkeypatch, trig):
             return real(*a, **k)
         raise PrecisionError("rejected")
 
-    monkeypatch.setattr(strata, "count_roots", histogram_then_reject)
+    _count_with(monkeypatch, histogram_then_reject)
     with pytest.raises(PrecisionError, match="discarded 50 of 50 draws"):
         component_census(trig[2], samples=samples, seed=1,
                          constancy_checks=5)
@@ -243,7 +270,7 @@ def test_census_logs_one_record_per_phase(monkeypatch, trig, caplog):
         rc = real(*a, **k)
         return RootCount(rc.tangencies, rc.total + (calls[0] % 5 == 0))
 
-    monkeypatch.setattr(strata, "count_roots", flaky)
+    _count_with(monkeypatch, flaky)
     want = component_census(trig[2], samples=40, seed=3, constancy_checks=5)
     assert not [r for r in caplog.records if r.name == "osculant"]
     calls[0] = 0
@@ -253,9 +280,11 @@ def test_census_logs_one_record_per_phase(monkeypatch, trig, caplog):
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
     assert msgs == [
         "census trig_convex(2) sampling: 24 of 40 kept; "
-        "discarded PrecisionError 10, OnDiscriminantError 6",
+        "discarded PrecisionError 10, OnDiscriminantError 6; "
+        "40 rows counted in 6 blocks, 0 past the stop, 0 scanned above order 1",
         "census trig_convex(2) constancy: 5 pairs certified in 13 draws; "
-        "discarded PrecisionError 5, OnDiscriminantError 3, straddle 0",
+        "discarded PrecisionError 5, OnDiscriminantError 3, straddle 0; "
+        "26 rows counted in 6 blocks, 0 past the stop, 0 scanned above order 1",
     ]
 
     # a phase that raises logs its record first
@@ -264,12 +293,14 @@ def test_census_logs_one_record_per_phase(monkeypatch, trig, caplog):
     def refuse(*a, **k):
         raise PrecisionError("refused")
 
-    monkeypatch.setattr(strata, "count_roots", refuse)
+    _count_with(monkeypatch, refuse)
     with pytest.raises(PrecisionError, match="never reached"):
         component_census(trig[2], samples=20, seed=3)
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
     assert msgs == ["census trig_convex(2) sampling: 0 of 20 kept; "
-                    "discarded PrecisionError 20, OnDiscriminantError 0"]
+                    "discarded PrecisionError 20, OnDiscriminantError 0; "
+                    "20 rows counted in 5 blocks, 0 past the stop, "
+                    "0 scanned above order 1"]
 
 
 def test_census_discards_a_confirmed_straddle(monkeypatch, trig, caplog):
@@ -283,7 +314,8 @@ def test_census_discards_a_confirmed_straddle(monkeypatch, trig, caplog):
     msgs = [r.getMessage() for r in caplog.records if r.name == "osculant"]
     assert msgs[-1] == ("census trig_convex(3) constancy: 100 pairs certified "
                         "in 101 draws; discarded PrecisionError 0, "
-                        "OnDiscriminantError 0, straddle 1")
+                        "OnDiscriminantError 0, straddle 1; 202 rows counted "
+                        "in 7 blocks, 0 past the stop, 36 scanned above order 1")
 
     # an oracle that sees no jump leaves the straddle unconfirmed
     monkeypatch.setattr(strata, "exact_count", lambda c, p: 1)
@@ -298,6 +330,6 @@ def test_census_with_every_draw_refused_exits_2(monkeypatch):
     def refuse(*a, **k):
         raise PrecisionError("rejected")
 
-    monkeypatch.setattr(strata, "count_roots", refuse)
+    _count_with(monkeypatch, refuse)
     assert main(["components", "--curve", "trig_convex:3",
                  "--samples", "20"]) == 2

@@ -10,7 +10,9 @@ from osculant import fourier, tangency
 from osculant import (
     BinaryForm,
     count_roots,
+    count_roots_many,
     form_to_point,
+    RootCount,
     order_of_tangency,
     osculating_subspace,
     sturm_count,
@@ -20,6 +22,7 @@ from osculant.curves import (ParamCurve, build_model, dual_curve,
                              nonconvex_space_curve, perturbed_circle)
 from osculant.errors import DegeneracyError, PrecisionError
 from osculant.projection import project_iterated
+from osculant.projective import point_vector
 from osculant.strata import _census_point
 
 
@@ -90,9 +93,10 @@ def test_curve_owned_scales_are_the_evaluated_maxima(trig, rational, rng):
         F = tangency_function(c, rng.standard_normal(c.n + 1))
         period = c.projective_period
         ts = (np.arange(4096) + 1.0 / np.pi) * (period / 4096)
-        scale = tangency._scales(c, F)
         for j in range(c.n + 1):
-            assert scale(j) == np.abs(fourier.evaluate(F.coeffs, ts, j)).max()
+            scale = tangency._scales(c, F.deriv_coeffs(j)[None])
+            assert scale.shape == (1,)
+            assert scale[0] == np.abs(fourier.evaluate(F.coeffs, ts, j)).max()
 
 
 def test_scalar_path_is_fourier_evaluate(trig, rational, rng):
@@ -169,26 +173,28 @@ def _astroid():
 
 def test_polish_windows_are_computed_only_for_orders_tried(monkeypatch):
     # order m is tried only where m unit-band candidates crowd a zero, so
-    # the window of order m, and the scale product it reads, wait until then
+    # the window of order m, and the scale product it reads, wait until then;
+    # each row of the scale table is matched to its point and order by its
+    # coefficients, F_p^(j) as tangency_function's deriv_coeffs(j)
     c = build_model("rational_normal", 6)
-    requested = []
+    pts = np.random.default_rng(3).standard_normal((300, 7))
+    order_of = {tangency_function(c, p).deriv_coeffs(j).tobytes(): (i, j)
+                for i, p in enumerate(pts) for j in range(c.n + 1)}
+    requested = [set() for _ in pts]
     scales = tangency._scales
 
-    def recording(curve, F):
-        scale, orders = scales(curve, F), set()
-        requested.append(orders)
-
-        def wrapped(j):
-            orders.add(j)
-            return scale(j)
-        return wrapped
+    def recording(curve, D):
+        for d in D:
+            i, j = order_of[d.tobytes()]
+            requested[i].add(j)
+        return scales(curve, D)
 
     monkeypatch.setattr(tangency, "_scales", recording)
-    rng = np.random.default_rng(3)
+    results = [rc for k in range(0, 300, tangency.BLOCK_ROWS)
+               for rc in count_roots_many(c, pts[k:k + tangency.BLOCK_ROWS])]
     totals = set()
-    for _ in range(300):
-        total = count_roots(c, rng.standard_normal(7)).total
-        orders = requested.pop()
+    for orders, rc in zip(requested, results):
+        total = rc.total
         assert orders == {0} if total == 0 else orders <= set(range(total + 1))
         totals.add(total)
     assert {2, 4} <= totals
@@ -383,3 +389,164 @@ def test_points_whose_norm_overflows_are_rescaled(trig, rng):
     # ordinary points keep their bits: no rescaling unless the norm fails
     for v in rng.standard_normal((50, 5)) * 10.0 ** rng.integers(-8, 9, (50, 1)):
         assert np.array_equal(tangency._point_vec(v, 5), v / np.linalg.norm(v))
+
+
+def _outcome(result):
+    """A RootCount, or an exception as its type and message."""
+    return (type(result), str(result)) if isinstance(result, Exception) else result
+
+
+def _one_row(c, p):
+    try:
+        return count_roots(c, p)
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def _block_draws(c, rng):
+    """Census draws, gaussian points and points on osculating flags of c."""
+    n, period = c.n, c.projective_period
+    pts = [_census_point(c, rng) for _ in range(30)]
+    pts += list(rng.standard_normal((20, n + 1)))
+    for r in range(1, n + 1):
+        for _ in range(4):
+            basis = osculating_subspace(c, rng.uniform(0.0, period), n - r).basis
+            pts.append(rng.standard_normal(n - r + 1) @ basis)
+    return pts
+
+
+def _planted_double_zeros(count, rng):
+    """Points of rational_normal(6) with one exact double zero: form roots
+    (a, a) and four others, all in [-3, 3]."""
+    pts = []
+    for _ in range(count):
+        a = round(float(rng.uniform(-3.0, 3.0)), 3)
+        rest = [round(float(x), 3) for x in rng.uniform(-3.0, 3.0, 4)]
+        pts.append(form_to_point(_form_from_roots([a, a, *rest], 6)))
+    return pts
+
+
+def test_count_roots_many_equals_count_roots_per_row(trig, rational, rng):
+    # a block gives each row the RootCount that the one-row call returns,
+    # or the exception it raises, with the same type and message
+    curves = [*trig.values(), *rational.values(), dual_curve(rational[4]),
+              nonconvex_space_curve(), perturbed_circle(0.3)]
+    blocks = [(c, _block_draws(c, rng)) for c in curves]
+    blocks.append((rational[6], _planted_double_zeros(60, rng)))
+    kinds = set()
+    for c, pts in blocks:
+        pts[3], pts[11] = np.full(c.n + 1, np.nan), np.zeros(c.n + 1)
+        got = count_roots_many(c, pts)
+        assert len(got) == len(pts)
+        for p, rc in zip(pts, got):
+            assert _outcome(rc) == _one_row(c, p), (c.model, p)
+            kinds.add(type(rc))
+    assert {RootCount, ValueError, PrecisionError} <= kinds
+
+
+def test_flag_point_draws_count_alike_in_one_block(trig, rational):
+    # the draws of test_flag_points_report_their_order, as one block per curve
+    rng = np.random.default_rng(20260823)
+    for c in (*trig.values(), *rational.values()):
+        n, period = c.n, c.projective_period
+        pts = []
+        for r in range(1, n + 1):
+            for _ in range(20):
+                basis = osculating_subspace(c, rng.uniform(0.0, period), n - r).basis
+                pts.append(rng.standard_normal(n - r + 1) @ basis)
+        for k in range(0, len(pts), tangency.BLOCK_ROWS):
+            block = pts[k:k + tangency.BLOCK_ROWS]
+            for p, rc in zip(block, count_roots_many(c, block)):
+                assert _outcome(rc) == _one_row(c, p), (c.model, p)
+
+
+def test_stacked_products_are_the_one_row_products(trig, rational, rng,
+                                                   monkeypatch):
+    # F rows, every scale and the companion eigenvalues of a block equal
+    # the products of one point at a time (tangency_function, a matrix-
+    # vector product on the scale grid, np.roots) bit for bit; a numpy or
+    # BLAS that rounds a stacked product otherwise fails here
+    curves = [*trig.values(), *rational.values(), dual_curve(rational[4]),
+              nonconvex_space_curve(), perturbed_circle(0.3)]
+    scales, stacked_roots = tangency._scales, tangency._stacked_roots
+    for c in curves:
+        n = c.n
+        s, j0 = c.dual_fold
+        seen, eig = [], []
+
+        def scales_rec(curve, D):
+            out = scales(curve, D)
+            seen.append((D.copy(), out))
+            return out
+
+        def roots_rec(P):
+            eig.append(stacked_roots(P))
+            return eig[-1]
+
+        monkeypatch.setattr(tangency, "_scales", scales_rec)
+        monkeypatch.setattr(tangency, "_stacked_roots", roots_rec)
+        pts = _block_draws(c, rng)
+        count_roots_many(c, pts)
+        monkeypatch.undo()
+        Fs = [tangency_function(c, p) for p in pts]
+        H0 = seen[0][0]
+        assert len(H0) == len(pts)
+        for F, h in zip(Fs, H0):
+            assert np.array_equal(F.coeffs, h), c.model
+        order_of = {F.deriv_coeffs(j).tobytes(): (F, j)
+                    for F in Fs for j in range(n + 1)}
+        tried = set()
+        for D, got in seen:
+            for d, g in zip(D, got):
+                F, j = order_of[d.tobytes()]
+                want = np.abs(np.real(c.scale_phases @ F.deriv_coeffs(j))).max()
+                assert g == want, (c.model, j)
+                tried.add(j)
+        assert tried >= {0, 1}
+        (W,) = eig
+        for F, w in zip(Fs, W):
+            assert np.array_equal(w, np.roots(F.coeffs[j0::s][::-1])), c.model
+
+
+@pytest.mark.parametrize("rows", [slice(None), [0, 4, 5], [0, 5], [4]])
+def test_stacked_roots_strip_like_np_roots(rows):
+    # rows with a zero end coefficient, which np.roots strips, or a
+    # companion matrix that is not finite go through np.roots itself, and
+    # an error of np.roots belongs to its row; a block with every end
+    # coefficient nonzero but one row not finite ([0, 4, 5]) also sorts
+    P = np.array([[1.0, 2.0, -3.0, 0.5], [0.0, 1.0, 2.0, 3.0],
+                  [1.0, 2.0, 3.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                  [1e-320, 1.0, 2.0, 3.0], [2.0, -1.0, 0.5, 4.0]], complex)[rows]
+    got = tangency._stacked_roots(P)
+    assert len(got) == len(P)
+    for row, w in zip(P, got):
+        try:
+            want = np.roots(row)
+        except Exception as exc:
+            assert (type(w), str(w)) == (type(exc), str(exc))
+        else:
+            assert np.array_equal(w, want)
+
+
+def test_block_rows_fail_alone(trig):
+    # a non-finite or zero row gets its own ValueError; the other rows count
+    c = trig[3]
+    pts = [(1.0, 0.2, 0.3, 0.1), (np.nan, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0),
+           (0.0, 1.0, 0.1, 0.0), (np.inf, 0.0, 0.0, 1.0), (1.0, 2.0)]
+    got = count_roots_many(c, pts)
+    for p, rc in zip(pts, got):
+        assert _outcome(rc) == _one_row(c, p)
+    assert [type(rc) for rc in got] == [RootCount, ValueError, ValueError,
+                                        RootCount, ValueError, ValueError]
+    assert count_roots_many(c, []) == []
+
+
+def test_extreme_rows_rescale_in_a_block(trig):
+    # rows whose norm over- or underflows rescale as point_vector does,
+    # with no RuntimeWarning (Tier-1 turns one into an error)
+    c = trig[2]
+    pts = [(1e308, 1e308, 1.0), (1e-310, 2e-311, 1e-311), (1.0, 3.0, 0.0)]
+    got = count_roots_many(c, pts)
+    for p, rc in zip(pts, got):
+        assert rc == count_roots(c, point_vector(p))
+    assert [rc.total for rc in got] == [2, 0, 2]
